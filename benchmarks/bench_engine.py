@@ -1,12 +1,14 @@
-"""Simulation-engine benchmarks: event-heap engine vs the seed engine,
-and batched candidate evaluation through the lowering cache.
+"""Simulation-engine benchmarks: the production engine vs the seed
+engine, and batched candidate evaluation through the lowering cache.
 
 The discrete-event simulator is the objective function of the blocking /
-portfolio search, so planner throughput is bounded by ``simulate()``.
-This bench prices the two remedies this repo ships:
+portfolio search, so planner throughput is bounded by ``simulate()`` —
+the one engine the planner runs.  This bench prices the two remedies
+this repo ships:
 
-1. **event-heap engine** — ``repro.sim.engine`` (indegree wakeups +
-   incremental ledger) against the seed round-robin engine preserved in
+1. **engine** — ``repro.sim.engine.simulate`` (event heap when nothing
+   is ledgered, indegree wakeups + incremental ledger otherwise)
+   against the seed round-robin oracle preserved in
    ``repro.sim.reference_engine``, on a steady-state 3-iteration stream
    of a 64-block, 3-tier (HBM/DRAM/NVMe) ResNet-200 plan sweep.  Every
    simulated grid point is asserted **bit-identical** between the two
@@ -34,15 +36,11 @@ from repro.hardware import TransferModel, abci_host, karma_swap_link
 from repro.hardware.spec import v100_sxm2_16gb
 from repro.hardware.tiering import abci_hierarchy
 from repro.models import build
-import numpy as np
-
 from repro.sim import (
-    OpTable,
     SimOp,
     block_costs,
     compile_plan,
     simulate,
-    simulate_portfolio,
     simulate_reference,
 )
 from repro.sim.trainer_sim import _stash_ledger_capacity
@@ -183,83 +181,6 @@ def test_single_iteration_speedup(bench_writer):
         "single_iter.speedup": ref_s / new_s,
     })
     assert ref_s / new_s >= 3.0
-
-
-def test_vectorized_portfolio_sweep(bench_writer):
-    """Acceptance: pricing a portfolio of duration variants through the
-    SoA engine (``OpTable.concat`` + ``simulate_portfolio``) is >= 5x
-    faster than one ``simulate()`` call per variant, with bit-identical
-    per-candidate makespans.
-
-    The portfolio is the calibration sweep the planner actually runs:
-    every steady-state grid-point stream priced under 32 link-bandwidth
-    hypotheses (link-op durations scaled 0.5x-2x).  The topological peel
-    is duration-independent, so the merged table pays for the graph once
-    and advances all variants as columns of one 2-D timing array.
-    """
-    link_resources = {"h2d", "d2h", "d2s", "s2d"}
-    streams = [_unroll(ops, STEADY_STATE_ITERATIONS)
-               for ops, _ in _sixty_four_block_plans()]
-    scales = np.linspace(0.5, 2.0, 32)
-    tables = [OpTable.from_ops(s) for s in streams]
-    merged = OpTable.concat(tables)
-    offsets = np.cumsum([0] + [t.n for t in tables])[:-1]
-    is_link = np.asarray(
-        [merged.resources[r].split(":", 1)[1] in link_resources
-         for r in merged.resource_ids])
-
-    # scalar baseline inputs, prebuilt so only simulate() is timed —
-    # mirrors the vectorized side, whose tables are also built outside
-    variants = []
-    for si, stream in enumerate(streams):
-        for j, sc in enumerate(scales):
-            variants.append((si, j, [
-                SimOp(o.op_id, o.resource,
-                      o.duration * sc if o.resource in link_resources
-                      else o.duration,
-                      o.deps, label=o.label)
-                for o in stream]))
-
-    def vec_pass():
-        d = np.where(is_link[:, None],
-                     merged.durations[:, None] * scales[None, :],
-                     merged.durations[:, None])
-        res = simulate_portfolio(merged, d)
-        return np.maximum.reduceat(res.finishes, offsets, axis=0)
-
-    def scalar_pass():
-        out = np.zeros((len(streams), len(scales)))
-        for si, j, ops in variants:
-            out[si, j] = simulate(ops).makespan
-        return out
-
-    got = vec_pass()  # warm up + the bit-identity certificate
-    want = scalar_pass()
-    assert np.array_equal(got, want), "portfolio makespans drifted"
-
-    vec_s = scalar_s = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        vec_pass()
-        vec_s = min(vec_s, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        scalar_pass()
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
-
-    speedup = scalar_s / vec_s
-    print(f"\nvectorized portfolio sweep ({len(variants)} variants, "
-          f"{merged.n} merged ops): batched {vec_s * 1e3:.1f} ms, "
-          f"per-variant {scalar_s * 1e3:.1f} ms ({speedup:.1f}x)")
-    bench_writer.emit("engine", {
-        "portfolio.variants": len(variants),
-        "portfolio.merged_ops": merged.n,
-        "portfolio.vectorized_s": vec_s,
-        "portfolio.per_variant_s": scalar_s,
-        "vectorized_sweep_speedup": speedup,
-        "portfolio.bit_identical": True,
-    })
-    assert speedup >= 5.0, \
-        f"vectorized portfolio sweep only {speedup:.1f}x faster"
 
 
 def test_batched_eval_speedup(bench_writer):

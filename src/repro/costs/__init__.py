@@ -25,7 +25,7 @@ from .memory import (
     model_memory_total,
     projected_memory,
 )
-from .profiler import CostModel, LayerCost, calibration_from_measurements, profile_graph
+from .profiler import CostModel, LayerCost, profile_graph
 from .trace_fit import (
     CALIBRATION_SCHEMA_VERSION,
     CalibrationArtifact,
@@ -43,7 +43,7 @@ __all__ = [
     "DTYPE_BYTES", "LayerMemory", "BlockMemory", "layer_memory",
     "block_memory", "model_memory_total", "fits_in_core",
     "max_in_core_batch", "projected_memory",
-    "CostModel", "LayerCost", "profile_graph", "calibration_from_measurements",
+    "CostModel", "LayerCost", "profile_graph",
     "CALIBRATION_SCHEMA_VERSION", "CalibrationArtifact", "LinkFit",
     "fit_link", "fit_op_scales", "fit_trace", "fit_validation_report",
     "merge_artifacts",

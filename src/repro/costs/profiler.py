@@ -15,7 +15,7 @@ profile-once-then-project methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -235,17 +235,3 @@ def profile_graph(graph: LayerGraph, device: DeviceSpec,
                      calibration=calibration, act_factor=act_factor,
                      optimizer_slots=optimizer_slots)
 
-
-def calibration_from_measurements(analytic: Sequence[float],
-                                  measured: Sequence[float],
-                                  names: Sequence[str]) -> Dict[str, float]:
-    """Per-layer scale factors turning analytic times into measured times.
-
-    Layers whose analytic estimate is zero (metadata ops) keep scale 1.
-    """
-    if not (len(analytic) == len(measured) == len(names)):
-        raise ValueError("length mismatch between analytic/measured/names")
-    out: Dict[str, float] = {}
-    for a, m, n in zip(analytic, measured, names):
-        out[n] = (m / a) if a > 0 else 1.0
-    return out

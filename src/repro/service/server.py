@@ -32,6 +32,7 @@ lines, one full metrics frame every ``interval_s`` seconds for
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socketserver
@@ -53,10 +54,14 @@ from ..obs.trace import TraceContext
 from .daemon import PlannerDaemon
 from .errors import BadRequest, ServiceRejection
 
-__all__ = ["Address", "parse_address", "PlannerServer"]
+__all__ = ["Address", "parse_address", "PlannerServer", "MAX_FRAME_BYTES"]
 
 #: A unix-socket path, or a ``(host, port)`` localhost TCP endpoint.
 Address = Union[str, Tuple[str, int]]
+
+#: Longest request line (excluding its newline) the server will read; a
+#: longer line gets one ``bad_request`` reply and its connection closes.
+MAX_FRAME_BYTES = 1 << 20
 
 
 def parse_address(spec: str) -> Address:
@@ -98,7 +103,16 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         """Dispatch every line on this connection through the daemon."""
         server = cast(_ServerState, self.server).planner_server
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_FRAME_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_FRAME_BYTES and not raw.endswith(b"\n"):
+                # the line's tail is unread: reply once, drop the connection
+                error = server._error(BadRequest(
+                    f"request line exceeds {MAX_FRAME_BYTES} bytes"))
+                self.wfile.write((error + "\n").encode("utf-8"))
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -128,6 +142,7 @@ class PlannerServer:
         self._stopping = threading.Event()
         self._active = 0
         self._active_cond = threading.Condition()
+        self._stop_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -190,26 +205,31 @@ class PlannerServer:
         Requests still running after the window are abandoned (counted
         in ``service.drain_timeouts``); ``drain_s=0`` restores the old
         immediate-close behaviour.
+
+        Idempotent and safe to race (the ``shutdown`` op's helper thread
+        and the serving caller both call it): later callers wait for the
+        first to finish.
         """
-        srv = self._server
-        if srv is None:
-            return
-        srv.shutdown()
-        deadline = time.monotonic() + max(0.0, drain_s)
-        with self._active_cond:
-            while self._active:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    METRICS.counter("service.drain_timeouts").inc()
-                    break
-                self._active_cond.wait(remaining)
-        srv.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if isinstance(self.address, str) and os.path.exists(self.address):
-            os.unlink(self.address)
-        self._server = None
+        with self._stop_lock:
+            srv, self._server = self._server, None
+            if srv is None:
+                return
+            srv.shutdown()
+            deadline = time.monotonic() + max(0.0, drain_s)
+            with self._active_cond:
+                while self._active:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        METRICS.counter("service.drain_timeouts").inc()
+                        break
+                    self._active_cond.wait(remaining)
+            srv.server_close()
+            if self._thread is not None:
+                self._thread.join()
+                self._thread = None
+            if isinstance(self.address, str):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self.address)
 
     def __enter__(self) -> "PlannerServer":
         return self.start()

@@ -12,15 +12,11 @@ from .distributed_sim import (
     simulate_dp_karma_lm,
 )
 from .engine import (
-    OpTable,
-    PortfolioResult,
     ScheduleBuilder,
     SimOp,
     SimResult,
     SimulationDeadlock,
     simulate,
-    simulate_portfolio,
-    simulate_table,
 )
 from .reference_engine import simulate_reference
 from .stall import StallProfile, compare_profiles, stall_profile
@@ -38,8 +34,7 @@ from .trainer_sim import (
 )
 
 __all__ = [
-    "simulate", "simulate_reference", "simulate_table", "OpTable",
-    "simulate_portfolio", "PortfolioResult",
+    "simulate", "simulate_reference",
     "SimOp", "SimResult", "SimulationDeadlock", "ScheduleBuilder",
     "simulate_plan", "compile_plan", "compile_skeleton", "bind_costs",
     "block_costs", "BlockCosts", "LoweringCache",

@@ -52,8 +52,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACER
 
@@ -380,437 +378,6 @@ class _MemoryLedger:
         # cannot fit against the *currently scheduled* events; the caller
         # may retry after more releases are scheduled
         return None
-
-
-# ---------------------------------------------------------------------------
-# Structure-of-arrays schedule + vectorized (wave) engine
-# ---------------------------------------------------------------------------
-
-class OpTable:
-    """Structure-of-arrays view of one schedule.
-
-    The same information as a ``List[SimOp]``, transposed into numpy
-    columns: per-op durations, dense resource ids, acquire/release byte
-    counts, and the dependency lists in CSR form (``dep_indptr`` /
-    ``dep_indices`` over dense op positions).  This is the input format
-    of :func:`simulate_table` — the batched ready-set engine — and the
-    output format of the plan compilers' vectorized binding path, which
-    fills the columns with array gathers instead of constructing one
-    :class:`SimOp` at a time.
-
-    Tables are position-indexed: op ``i`` is the ``i``-th op in issue
-    order, and ``dep_indices`` holds positions, not ``op_id`` values.
-    :meth:`from_ops` remaps arbitrary ``op_id`` schedules; :meth:`to_ops`
-    materializes (and caches) the equivalent :class:`SimOp` list, keeping
-    the original ids so results are keyed identically.
-    """
-
-    __slots__ = ("n", "resources", "resource_ids", "durations", "acquires",
-                 "releases", "labels", "dep_indptr", "dep_indices", "_ops")
-
-    def __init__(self, resources: Sequence[str],
-                 resource_ids: np.ndarray,
-                 durations: np.ndarray,
-                 acquires: np.ndarray,
-                 releases: np.ndarray,
-                 dep_indptr: np.ndarray,
-                 dep_indices: np.ndarray,
-                 labels: Optional[Sequence[str]] = None):
-        self.resources = list(resources)
-        self.resource_ids = np.ascontiguousarray(resource_ids, dtype=np.int64)
-        self.durations = np.ascontiguousarray(durations, dtype=np.float64)
-        self.acquires = np.ascontiguousarray(acquires, dtype=np.int64)
-        self.releases = np.ascontiguousarray(releases, dtype=np.int64)
-        self.dep_indptr = np.ascontiguousarray(dep_indptr, dtype=np.int64)
-        self.dep_indices = np.ascontiguousarray(dep_indices, dtype=np.int64)
-        self.labels = list(labels) if labels is not None else None
-        n = self.n = len(self.durations)
-        if not (len(self.resource_ids) == len(self.acquires)
-                == len(self.releases) == n and len(self.dep_indptr) == n + 1):
-            raise ValueError("OpTable column lengths disagree")
-        if n and (self.durations < 0).any():
-            raise ValueError("negative duration in op table")
-        if n and ((self.acquires < 0).any() or (self.releases < 0).any()):
-            raise ValueError("memory amounts must be non-negative")
-        if len(self.dep_indices) and (
-                (self.dep_indices < 0).any() or (self.dep_indices >= n).any()):
-            raise ValueError("dependency position out of range")
-        self._ops: Optional[List[SimOp]] = None
-
-    @classmethod
-    def from_ops(cls, ops: Sequence[SimOp]) -> "OpTable":
-        """Transpose a :class:`SimOp` schedule into columns.
-
-        Dependencies are remapped from ``op_id`` values to dense
-        positions (issue order), exactly as :class:`_Prepared` does; the
-        original op objects are kept so :meth:`to_ops` round-trips.
-        """
-        n = len(ops)
-        idx: Dict[int, int] = {}
-        for i, op in enumerate(ops):
-            if op.op_id in idx:
-                raise ValueError("duplicate op ids")
-            idx[op.op_id] = i
-        resources: List[str] = []
-        rindex: Dict[str, int] = {}
-        resource_ids = np.zeros(n, dtype=np.int64)
-        durations = np.zeros(n, dtype=np.float64)
-        acquires = np.zeros(n, dtype=np.int64)
-        releases = np.zeros(n, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        dep_flat: List[int] = []
-        labels: List[str] = []
-        for i, op in enumerate(ops):
-            ri = rindex.get(op.resource)
-            if ri is None:
-                ri = rindex[op.resource] = len(resources)
-                resources.append(op.resource)
-            resource_ids[i] = ri
-            durations[i] = op.duration
-            acquires[i] = op.mem_acquire
-            releases[i] = op.mem_release
-            labels.append(op.label)
-            try:
-                dep_flat.extend(idx[d] for d in op.deps)
-            except KeyError as exc:
-                raise ValueError(f"op {op.label or op.op_id} depends on "
-                                 f"unknown op {exc.args[0]}") from exc
-            indptr[i + 1] = len(dep_flat)
-        table = cls(resources, resource_ids, durations, acquires, releases,
-                    indptr, np.asarray(dep_flat, dtype=np.int64), labels)
-        table._ops = list(ops)
-        return table
-
-    def to_ops(self) -> List[SimOp]:
-        """The equivalent :class:`SimOp` list (cached after first call)."""
-        if self._ops is None:
-            indptr, indices = self.dep_indptr, self.dep_indices
-            self._ops = [
-                SimOp(op_id=i,
-                      resource=self.resources[self.resource_ids[i]],
-                      duration=float(self.durations[i]),
-                      deps=tuple(int(d) for d in
-                                 indices[indptr[i]:indptr[i + 1]]),
-                      mem_acquire=int(self.acquires[i]),
-                      mem_release=int(self.releases[i]),
-                      label=self.labels[i] if self.labels else "")
-                for i in range(self.n)
-            ]
-        return self._ops
-
-    def label_of(self, i: int) -> str:
-        if self.labels and self.labels[i]:
-            return self.labels[i]
-        return str(i)
-
-    @classmethod
-    def concat(cls, tables: Sequence["OpTable"]) -> "OpTable":
-        """Disjoint union of several tables as one table.
-
-        No edges cross the inputs and every input keeps its own FIFO
-        queues: resource names are namespaced per input (``"0:gpu"``,
-        ``"1:gpu"``, ...), so the merged schedule prices each input
-        exactly as it would run alone.  This is the batching primitive
-        for portfolio pricing — merge the candidates, run one wave pass,
-        read per-candidate results back out of contiguous row ranges.
-        """
-        if not tables:
-            raise ValueError("concat of zero tables")
-        resources: List[str] = []
-        rids: List[np.ndarray] = []
-        durs: List[np.ndarray] = []
-        acqs: List[np.ndarray] = []
-        rels: List[np.ndarray] = []
-        indptr: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        deps: List[np.ndarray] = []
-        labels: List[str] = []
-        op_off = res_off = dep_off = 0
-        for t, table in enumerate(tables):
-            resources.extend(f"{t}:{name}" for name in table.resources)
-            rids.append(table.resource_ids + res_off)
-            durs.append(table.durations)
-            acqs.append(table.acquires)
-            rels.append(table.releases)
-            indptr.append(table.dep_indptr[1:] + dep_off)
-            deps.append(table.dep_indices + op_off)
-            labels.extend(table.label_of(i) for i in range(table.n))
-            op_off += table.n
-            res_off += len(table.resources)
-            dep_off += int(table.dep_indptr[-1])
-        return cls(resources, np.concatenate(rids), np.concatenate(durs),
-                   np.concatenate(acqs), np.concatenate(rels),
-                   np.concatenate(indptr), np.concatenate(deps), labels)
-
-
-def _ragged_gather(starts: np.ndarray, counts: np.ndarray,
-                   total: int) -> np.ndarray:
-    """Positions selecting CSR rows ``(starts, counts)`` from a flat
-    indices array: for each row r, ``starts[r] + (0..counts[r]-1)``."""
-    offsets = np.cumsum(counts) - counts
-    return (np.arange(total, dtype=np.int64)
-            - np.repeat(offsets, counts)
-            + np.repeat(starts, counts))
-
-
-def _fifo_pred(table: OpTable) -> np.ndarray:
-    """Each op's predecessor on its own resource queue (-1 for heads).
-
-    A stable argsort groups ops by resource id while preserving issue
-    order inside each group, so each op's queue predecessor is simply the
-    previous member of its group — no per-resource scan.
-    """
-    n = table.n
-    pred = np.full(n, -1, dtype=np.int64)
-    if n > 1:
-        order = np.argsort(table.resource_ids, kind="stable")
-        grouped = table.resource_ids[order]
-        same = grouped[1:] == grouped[:-1]
-        pred[order[1:][same]] = order[:-1][same]
-    return pred
-
-
-def _graph_waves(table: OpTable,
-                 pred: np.ndarray) -> List[np.ndarray]:
-    """Topological waves of the dependency + FIFO edge set.
-
-    Kahn's algorithm, vectorized: each wave is the array of op positions
-    whose in-degree drops to zero together.  Wave membership is a pure
-    function of the graph — durations never move an op between waves —
-    so one peel serves every duration variant of the same structure.
-    Raises :class:`SimulationDeadlock` if a cycle blocks progress.
-    """
-    n = table.n
-    dep_indptr, dep_indices = table.dep_indptr, table.dep_indices
-    indeg = (dep_indptr[1:] - dep_indptr[:-1]) + (pred >= 0)
-
-    # dependents CSR over the combined edge set (dep edges + FIFO edges)
-    has_pred = np.flatnonzero(pred >= 0)
-    src = np.concatenate([dep_indices, pred[has_pred]])
-    dst = np.concatenate([
-        np.repeat(np.arange(n, dtype=np.int64),
-                  dep_indptr[1:] - dep_indptr[:-1]),
-        has_pred,
-    ])
-    order = np.argsort(src, kind="stable")
-    src_sorted = src[order]
-    dst_sorted = dst[order]
-    out_indptr = np.searchsorted(src_sorted, np.arange(n + 1))
-
-    waves: List[np.ndarray] = []
-    scheduled = 0
-    wave = np.flatnonzero(indeg == 0)
-    while wave.size:
-        waves.append(wave)
-        scheduled += int(wave.size)
-
-        # retire the wave: decrement dependents, collect the next wave
-        row_start = out_indptr[wave]
-        counts = out_indptr[wave + 1] - row_start
-        total = int(counts.sum())
-        if not total:
-            break
-        touched = dst_sorted[_ragged_gather(row_start, counts, total)]
-        cand, hits = np.unique(touched, return_counts=True)
-        indeg[cand] -= hits
-        wave = cand[indeg[cand] == 0]
-
-    if scheduled < n:
-        stuck = []
-        for qi in range(len(table.resources)):
-            members = np.flatnonzero(table.resource_ids == qi)
-            waiting = members[indeg[members] > 0]
-            if waiting.size:
-                stuck.append(table.label_of(int(waiting[0])))
-        raise SimulationDeadlock(
-            f"no progress; blocked resource heads: {stuck}")
-    return waves
-
-
-def _simulate_waves(table: OpTable) -> SimResult:
-    """Batched ready-set advancement over the op-table columns.
-
-    Without a ledger an op's start is a pure function of its dependency
-    finishes and its FIFO predecessor's finish, so the schedule is the
-    unique fixpoint of ``start = max(max dep finish, queue-pred finish)``
-    — computable in topological *waves* (Kahn's algorithm over the
-    dependency edges plus the implicit queue-predecessor edges), one
-    vectorized step per wave.  Every per-op float op is a selection
-    (``np.maximum``) or the same ``start + duration`` addition the scalar
-    engine performs, so results are bit-identical to
-    :func:`_simulate_heap` by construction.
-    """
-    n = table.n
-    durations = table.durations
-    dep_indptr, dep_indices = table.dep_indptr, table.dep_indices
-
-    pred = _fifo_pred(table)
-    waves = _graph_waves(table, pred)
-
-    starts = np.zeros(n, dtype=np.float64)
-    finishes = np.zeros(n, dtype=np.float64)
-    readies = np.zeros(n, dtype=np.float64)
-    for wave in waves:
-        # ready = max over dependency finishes (0.0 with no deps);
-        # segment-max via reduceat (a selection, so exact) — rows with no
-        # deps are skipped and keep ready 0.0
-        row_start = dep_indptr[wave]
-        counts = dep_indptr[wave + 1] - row_start
-        total = int(counts.sum())
-        ready = np.zeros(wave.size, dtype=np.float64)
-        if total:
-            gathered = finishes[dep_indices[
-                _ragged_gather(row_start, counts, total)]]
-            nz = np.flatnonzero(counts)
-            seg_starts = (np.cumsum(counts) - counts)[nz]
-            ready[nz] = np.maximum.reduceat(gathered, seg_starts)
-            # finishes are >= 0.0, so clamping keeps the same
-            # max(0.0, deps...) the scalar engine computes
-            np.maximum(ready, 0.0, out=ready)
-        pw = pred[wave]
-        free = np.where(pw >= 0, finishes[np.maximum(pw, 0)], 0.0)
-        start = np.maximum(ready, free)
-        finish = start + durations[wave]
-        readies[wave] = ready
-        starts[wave] = start
-        finishes[wave] = finish
-
-    return _finalize_table(table, starts, finishes, readies)
-
-
-@dataclass(frozen=True)
-class PortfolioResult:
-    """Dense timings for every duration variant of one table.
-
-    ``starts`` and ``finishes`` are ``(n_ops, n_variants)`` — column
-    ``j`` is exactly the schedule :func:`simulate` computes for variant
-    ``j``'s durations, float for float.  ``makespans`` is the per-column
-    max.  Callers pricing a :meth:`OpTable.concat` portfolio recover
-    per-candidate makespans with a segment max
-    (``np.maximum.reduceat(finishes, candidate_row_offsets)``) — a
-    selection, so still exact.
-    """
-
-    starts: np.ndarray
-    finishes: np.ndarray
-    makespans: np.ndarray
-
-
-def simulate_portfolio(table: OpTable,
-                       durations: np.ndarray) -> PortfolioResult:
-    """Price many duration variants of one DAG in a single wave pass.
-
-    ``durations`` has shape ``(n_ops, n_variants)``: column ``j`` is a
-    complete duration assignment for the table's ops.  Wave membership
-    depends only on the graph, never on durations, so the topological
-    peel — the expensive, width-independent part — runs once and the
-    timing advance carries all variants as columns of one 2-D array.
-    Per-variant results are bit-identical to running :func:`simulate`
-    (or :func:`simulate_table`) on each variant alone: every float op is
-    a per-column selection or the same ``start + duration`` addition.
-
-    Schedules are priced unledgered (the planner's sweep path); ledger
-    placement is order-dependent and has no batched twin — see
-    :func:`simulate_table`.
-    """
-    durations = np.ascontiguousarray(durations, dtype=np.float64)
-    if durations.ndim != 2 or durations.shape[0] != table.n:
-        raise ValueError(
-            f"durations must be (n_ops, n_variants) = ({table.n}, k); "
-            f"got {durations.shape}")
-    if durations.size and (durations < 0).any():
-        raise ValueError("negative duration in portfolio")
-    k = durations.shape[1]
-    n = table.n
-    if n == 0 or k == 0:
-        empty = np.zeros((n, k), dtype=np.float64)
-        return PortfolioResult(starts=empty, finishes=empty.copy(),
-                               makespans=np.zeros(k, dtype=np.float64))
-
-    dep_indptr, dep_indices = table.dep_indptr, table.dep_indices
-    pred = _fifo_pred(table)
-    waves = _graph_waves(table, pred)
-
-    starts = np.zeros((n, k), dtype=np.float64)
-    finishes = np.zeros((n, k), dtype=np.float64)
-    for wave in waves:
-        row_start = dep_indptr[wave]
-        counts = dep_indptr[wave + 1] - row_start
-        total = int(counts.sum())
-        ready = np.zeros((wave.size, k), dtype=np.float64)
-        if total:
-            gathered = finishes[dep_indices[
-                _ragged_gather(row_start, counts, total)]]
-            nz = np.flatnonzero(counts)
-            seg_starts = (np.cumsum(counts) - counts)[nz]
-            ready[nz] = np.maximum.reduceat(gathered, seg_starts, axis=0)
-            np.maximum(ready, 0.0, out=ready)
-        pw = pred[wave]
-        free = np.where((pw >= 0)[:, None],
-                        finishes[np.maximum(pw, 0)], 0.0)
-        start = np.maximum(ready, free)
-        finish = start + durations[wave]
-        starts[wave] = start
-        finishes[wave] = finish
-
-    # makespan is a max — a selection — so the per-column reduction is
-    # the same float the scalar summary folds to
-    return PortfolioResult(starts=starts, finishes=finishes,
-                           makespans=finishes.max(axis=0))
-
-
-def _finalize_table(table: OpTable, starts: np.ndarray, finishes: np.ndarray,
-                    readies: np.ndarray) -> SimResult:
-    """Fold the dense timing arrays into a :class:`SimResult` with the
-    exact float values of :func:`summarize`: per-resource busy sums
-    accumulate scalar-sequentially in issue order (numpy sums use pairwise
-    summation, which is *not* the same float), and span endpoints are
-    selections."""
-    ops = table.to_ops()
-    timings = {op.op_id: OpTiming(op, float(starts[i]), float(finishes[i]),
-                                  float(readies[i]))
-               for i, op in enumerate(ops)}
-    makespan = 0.0
-    busy: Dict[str, float] = {}
-    span: Dict[str, Tuple[float, float]] = {}
-    rids = table.resource_ids
-    for i, op in enumerate(ops):
-        f = finishes[i]
-        if f > makespan:
-            makespan = float(f)
-        r = table.resources[rids[i]]
-        busy[r] = busy.get(r, 0.0) + op.duration
-        lo, hi = span.get(r, (math.inf, -math.inf))
-        s = float(starts[i])
-        fv = float(f)
-        span[r] = (lo if lo < s else s, hi if hi > fv else fv)
-    return SimResult(timings=timings, makespan=makespan,
-                     resource_busy=busy, resource_span=span)
-
-
-def simulate_table(table: OpTable,
-                   memory_capacity: Optional[int] = None) -> SimResult:
-    """Vectorized twin of :func:`simulate` over an :class:`OpTable`.
-
-    Unledgered schedules (no ``memory_capacity``, or no op acquires
-    bytes) run on the batched wave engine — numpy columns, one
-    vectorized advance per dependency wave.  Ledgered schedules delegate
-    to the scalar greedy engine: ledger placement is *order-dependent*
-    (an acquire is committed where it can never retroactively
-    oversubscribe, so even a schedule whose final peak fits may place
-    ops differently under a different visit order), which makes the
-    greedy pass order part of the spec — there is no order-free
-    vectorization of it that stays bit-identical.
-
-    Results are bit-identical to :func:`simulate` and
-    :func:`repro.sim.reference_engine.simulate_reference` on every input;
-    the differential suite holds all three to exact float equality.
-    """
-    if table.n == 0:
-        return SimResult(timings={}, makespan=0.0, resource_busy={},
-                         resource_span={})
-    if memory_capacity is not None and bool(table.acquires.any()):
-        return simulate(table.to_ops(), memory_capacity)
-    return _simulate_waves(table)
 
 
 # ---------------------------------------------------------------------------

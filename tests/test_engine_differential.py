@@ -1,9 +1,9 @@
-"""Differential tests: the event-heap engine, the seed round-robin engine
-(``sim.reference_engine``), and the vectorized structure-of-arrays engine
-(``simulate_table``) must be bit-identical on every op stream — randomized
-DAGs, plan-shaped pipeline lowerings with multi-hop tiered swaps,
-distributed pipelines, and the compiled streams of every registry model.
-The batched lowering cache must be value-transparent."""
+"""Differential tests: the production engine (``simulate``, event-heap and
+ledgered paths) and the seed round-robin oracle (``sim.reference_engine``)
+must be bit-identical on every op stream — randomized DAGs, plan-shaped
+pipeline lowerings with multi-hop tiered swaps, distributed pipelines, and
+the compiled streams of every registry model.  The batched lowering cache
+must be value-transparent."""
 
 import math
 
@@ -19,7 +19,6 @@ from repro.models.registry import REGISTRY, build
 from repro.runtime.executor import OutOfCorePlanError
 from repro.sim import (
     LoweringCache,
-    OpTable,
     ScheduleBuilder,
     SimOp,
     SimulationDeadlock,
@@ -27,9 +26,7 @@ from repro.sim import (
     compile_plan,
     simulate,
     simulate_plan,
-    simulate_portfolio,
     simulate_reference,
-    simulate_table,
 )
 
 R, S, C, K = (BlockPolicy.RESIDENT, BlockPolicy.SWAPPED,
@@ -39,27 +36,23 @@ RESOURCES = ("gpu", "h2d", "d2h", "d2s", "s2d", "cpu")
 
 
 def assert_bit_identical(ops, capacity):
-    """All three engines agree exactly — timings, summaries, or the
-    deadlock.  Returns the event-heap result (None when all deadlock)."""
+    """Engine and oracle agree exactly — timings, summaries, or the
+    deadlock.  Returns the engine's result (None when both deadlock)."""
     try:
         ref = simulate_reference(ops, capacity)
     except SimulationDeadlock:
         with pytest.raises(SimulationDeadlock):
             simulate(ops, capacity)
-        with pytest.raises(SimulationDeadlock):
-            simulate_table(OpTable.from_ops(ops), capacity)
         return None
-    new = simulate(ops, capacity)
-    vec = simulate_table(OpTable.from_ops(ops), capacity)
-    for got in (new, vec):
-        assert got.timings == ref.timings      # exact float equality
-        assert got.makespan == ref.makespan
-        assert got.resource_busy == ref.resource_busy
-        assert got.resource_span == ref.resource_span
-        for r in RESOURCES:
-            assert got.idle_gaps(r) == ref.idle_gaps(r)
-            assert got.occupancy(r) == ref.occupancy(r)
-    return new
+    got = simulate(ops, capacity)
+    assert got.timings == ref.timings          # exact float equality
+    assert got.makespan == ref.makespan
+    assert got.resource_busy == ref.resource_busy
+    assert got.resource_span == ref.resource_span
+    for r in RESOURCES:
+        assert got.idle_gaps(r) == ref.idle_gaps(r)
+        assert got.occupancy(r) == ref.occupancy(r)
+    return got
 
 
 @st.composite
@@ -147,7 +140,7 @@ def pipeline_lowerings(draw):
 def distributed_dags(draw):
     """Multi-worker pipeline DAGs: per-worker GPU chains, cross-worker
     activations hops, and a shared allreduce resource — unledgered, so
-    the vectorized wave path (not the delegating ledger path) runs."""
+    the event-heap path (not the ledgered greedy pass) runs."""
     workers = draw(st.integers(min_value=2, max_value=4))
     depth = draw(st.integers(min_value=2, max_value=6))
     dur = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -241,6 +234,37 @@ class TestDifferential:
         with pytest.raises(SimulationDeadlock):
             simulate(ops, 0)
 
+    def test_empty_schedule(self):
+        got = assert_bit_identical([], None)
+        assert got.makespan == 0.0 and got.timings == {}
+
+    @pytest.mark.parametrize("capacity", [None, 100])
+    def test_non_dense_op_ids(self, capacity):
+        """Ids that are not issue positions are remapped, not rejected,
+        and results stay keyed by the caller's ids."""
+        ops = [SimOp(7, "gpu", 1.0, mem_acquire=60, label="F"),
+               SimOp(9, "d2h", 2.0, deps=(7,), mem_release=60),
+               SimOp(4, "gpu", 0.5, deps=(9,), mem_acquire=60,
+                     mem_release=60)]
+        got = assert_bit_identical(ops, capacity)
+        assert sorted(got.timings) == [4, 7, 9]
+
+    def test_duplicate_ids_rejected_by_both_engines(self):
+        ops = [SimOp(0, "gpu", 1.0), SimOp(0, "h2d", 1.0)]
+        for run in (simulate, simulate_reference):
+            with pytest.raises(ValueError, match="duplicate"):
+                run(ops)
+
+    @pytest.mark.parametrize("ops", [
+        [SimOp(0, "gpu", 1.0), SimOp(1, "h2d", 1.0, deps=(3,))],
+        [SimOp(0, "gpu", 1.0, deps=(-1,))],
+        [SimOp(7, "gpu", 1.0), SimOp(9, "h2d", 1.0, deps=(8,))],
+    ], ids=["dense", "dense-negative", "non-dense"])
+    def test_unknown_dependency_rejected_by_both_engines(self, ops):
+        for run in (simulate, simulate_reference):
+            with pytest.raises(ValueError, match="unknown op"):
+                run(ops)
+
     def test_plan_level_differential(self, small_cnn, platform):
         """Compiled plans (the production op streams) agree exactly."""
         device, _, transfer = platform
@@ -255,8 +279,8 @@ class TestDifferential:
                 assert_bit_identical(ops, ledger)
 
     def test_tiered_multi_hop_lowering(self, small_cnn, platform):
-        """NVMe placements produce chained d2h->d2s / s2d->h2d hops; all
-        three engines must still agree exactly."""
+        """NVMe placements produce chained d2h->d2s / s2d->h2d hops; the
+        engine and the oracle must still agree exactly."""
         device, _, transfer = platform
         cost = profile_graph(small_cnn, device, transfer, 64)
         hier = three_tier_hierarchy(device=device)
@@ -304,140 +328,6 @@ class TestRegistryPlanStreams:
         ops = self._compiled(name, platform, placements={0: 2},
                              hierarchy=hier)
         assert_bit_identical(ops, None)
-
-
-class TestOpTable:
-    def test_from_ops_round_trip(self):
-        ops = [SimOp(7, "gpu", 1.0, mem_acquire=5, label="F1"),
-               SimOp(9, "d2h", 2.0, deps=(7,), mem_release=5)]
-        table = OpTable.from_ops(ops)
-        assert table.n == 2
-        assert table.to_ops() == ops
-        assert table.label_of(0) == "F1"
-        assert table.label_of(1) == "1"  # unlabeled: dense position
-
-    def test_duplicate_and_unknown_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            OpTable.from_ops([SimOp(0, "gpu", 1.0), SimOp(0, "gpu", 1.0)])
-        with pytest.raises(ValueError, match="unknown op"):
-            OpTable.from_ops([SimOp(0, "gpu", 1.0, deps=(3,))])
-
-    def test_empty_table(self):
-        res = simulate_table(OpTable.from_ops([]))
-        assert res.makespan == 0.0 and res.timings == {}
-
-    def test_cycle_deadlocks_like_scalar_engines(self):
-        ops = [SimOp(0, "gpu", 1.0, deps=(1,)),
-               SimOp(1, "h2d", 1.0, deps=(0,))]
-        for run in (lambda: simulate(ops),
-                    lambda: simulate_reference(ops),
-                    lambda: simulate_table(OpTable.from_ops(ops))):
-            with pytest.raises(SimulationDeadlock):
-                run()
-
-    def test_ledgered_table_delegates_to_greedy_order(self):
-        """A capacity plus acquires must reproduce the scalar engine's
-        (order-dependent) ledger placement exactly."""
-        ops = [SimOp(0, "gpu", 1.0, mem_acquire=60),
-               SimOp(1, "h2d", 0.5, deps=(0,), mem_release=60),
-               SimOp(2, "gpu", 2.0, mem_acquire=60, deps=(1,),
-                     mem_release=60)]
-        vec = simulate_table(OpTable.from_ops(ops), 100)
-        ref = simulate(ops, 100)
-        assert vec.timings == ref.timings
-        assert vec.makespan == ref.makespan
-
-
-class TestPortfolio:
-    """simulate_portfolio: per-variant columns must reproduce the scalar
-    engine float for float, and OpTable.concat must keep merged
-    candidates independent."""
-
-    @staticmethod
-    def _variant_makespans(ops, scales):
-        out = []
-        for sc in scales:
-            scaled = [SimOp(o.op_id, o.resource, o.duration * sc, o.deps,
-                            o.mem_acquire, o.mem_release, o.label)
-                      for o in ops]
-            out.append(simulate(scaled).makespan)
-        return np.asarray(out)
-
-    @given(op_dags(), st.lists(st.floats(min_value=0.0, max_value=4.0,
-                                         allow_nan=False),
-                               min_size=1, max_size=5))
-    @settings(deadline=None)
-    def test_property_columns_match_scalar_engine(self, case, scales):
-        ops, _ = case
-        table = OpTable.from_ops(ops)
-        D = table.durations[:, None] * np.asarray(scales)[None, :]
-        res = simulate_portfolio(table, D)
-        assert res.starts.shape == res.finishes.shape == (table.n,
-                                                          len(scales))
-        for j, sc in enumerate(scales):
-            scaled = [SimOp(o.op_id, o.resource, o.duration * sc, o.deps,
-                            label=o.label) for o in ops]
-            ref = simulate(scaled)
-            for i, op in enumerate(ops):
-                t = ref.timing(op.op_id)
-                assert res.starts[i, j] == t.start      # exact
-                assert res.finishes[i, j] == t.finish
-            assert res.makespans[j] == ref.makespan
-
-    @given(st.lists(pipeline_lowerings(), min_size=2, max_size=4),
-           st.lists(st.floats(min_value=0.25, max_value=4.0,
-                              allow_nan=False),
-                    min_size=1, max_size=4))
-    @settings(deadline=None)
-    def test_property_concat_portfolio_prices_candidates_independently(
-            self, cases, scales):
-        tables = [OpTable.from_ops(ops) for ops, _ in cases]
-        merged = OpTable.concat(tables)
-        assert merged.n == sum(t.n for t in tables)
-        offsets = np.cumsum([0] + [t.n for t in tables])[:-1]
-        D = merged.durations[:, None] * np.asarray(scales)[None, :]
-        res = simulate_portfolio(merged, D)
-        got = np.maximum.reduceat(res.finishes, offsets, axis=0)
-        for t, (ops, _) in enumerate(cases):
-            want = self._variant_makespans(ops, scales)
-            assert np.array_equal(got[t], want)        # bit-identical
-
-    def test_deadlock_propagates(self):
-        table = OpTable.from_ops([SimOp(0, "gpu", 1.0, deps=(1,)),
-                                  SimOp(1, "h2d", 1.0, deps=(0,))])
-        with pytest.raises(SimulationDeadlock):
-            simulate_portfolio(table, np.ones((2, 3)))
-
-    def test_shape_and_sign_validated(self):
-        table = OpTable.from_ops([SimOp(0, "gpu", 1.0)])
-        with pytest.raises(ValueError, match="n_variants"):
-            simulate_portfolio(table, np.ones(1))
-        with pytest.raises(ValueError, match="n_variants"):
-            simulate_portfolio(table, np.ones((2, 2)))
-        with pytest.raises(ValueError, match="negative"):
-            simulate_portfolio(table, -np.ones((1, 2)))
-
-    def test_empty_table_and_zero_variants(self):
-        empty = simulate_portfolio(OpTable.from_ops([]),
-                                   np.zeros((0, 4)))
-        assert np.array_equal(empty.makespans, np.zeros(4))
-        none = simulate_portfolio(
-            OpTable.from_ops([SimOp(0, "gpu", 1.0)]), np.zeros((1, 0)))
-        assert none.makespans.shape == (0,)
-
-    def test_concat_of_zero_tables_rejected(self):
-        with pytest.raises(ValueError, match="zero tables"):
-            OpTable.concat([])
-
-    def test_concat_namespaces_resources(self):
-        a = OpTable.from_ops([SimOp(0, "gpu", 1.0, label="A")])
-        b = OpTable.from_ops([SimOp(0, "gpu", 2.0)])
-        merged = OpTable.concat([a, b])
-        assert merged.resources == ["0:gpu", "1:gpu"]
-        assert merged.label_of(0) == "A"
-        # same-named queues stay independent: both start at t=0
-        res = simulate_portfolio(merged, merged.durations[:, None])
-        assert res.starts[0, 0] == res.starts[1, 0] == 0.0
 
 
 class TestScheduleBuilder:

@@ -10,6 +10,7 @@ state (merges attached, queue full) and only then releases it.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from typing import Any, Dict, List
@@ -35,7 +36,7 @@ from repro.service import (
 )
 from repro.service.client import PlannerClient, wait_for_server
 from repro.service.cluster import demand_from_record, place_jobs
-from repro.service.server import PlannerServer, parse_address
+from repro.service.server import MAX_FRAME_BYTES, PlannerServer, parse_address
 
 
 def _counter(name: str) -> float:
@@ -527,6 +528,27 @@ class TestSocketProtocol:
             assert reply["error"]["code"] == "bad_request"
             assert c.ping()   # connection survives
 
+    def test_oversized_line_is_rejected_then_connection_closed(
+            self, served_daemon):
+        sock, _, _ = served_daemon
+        with PlannerClient(sock, timeout=30) as c:
+            c._sock.sendall(b"x" * (MAX_FRAME_BYTES + 1))   # no newline
+            reply = json.loads(c._rfile.readline())
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == BadRequest.code
+            assert c._rfile.readline() == b""   # then EOF
+        with PlannerClient(sock, timeout=30) as c:   # server unaffected
+            assert c.plan({"model": "unet", "batch": 8})["tier"] == "cold"
+
+    def test_line_at_the_cap_is_served(self, served_daemon):
+        sock, _, _ = served_daemon
+        with PlannerClient(sock, timeout=30) as c:
+            ping = json.dumps({"op": "ping"}).encode("utf-8")
+            # JSON allows trailing whitespace: pad to exactly the cap
+            c._sock.sendall(ping.ljust(MAX_FRAME_BYTES) + b"\n")
+            assert json.loads(c._rfile.readline())["pong"] is True
+            assert c.ping()   # connection survives
+
     def test_shutdown_op_stops_the_server(self, tmp_path):
         sock = str(tmp_path / "k.sock")
         daemon = PlannerDaemon(planner=lambda c, n: {"cache": "miss"})
@@ -546,6 +568,43 @@ class TestSocketProtocol:
             pytest.fail("server still accepting after shutdown op")
         server.stop()   # idempotent
         daemon.stop()
+
+    def test_concurrent_stop_and_shutdown_op(self, tmp_path):
+        """Racing ``stop()`` calls plus a ``shutdown`` op all return
+        cleanly and leave no socket file behind."""
+        daemon = PlannerDaemon(planner=lambda c, n: {"cache": "miss"})
+        daemon.start()
+        try:
+            for trial in range(20):
+                sock = str(tmp_path / f"k{trial}.sock")
+                server = PlannerServer(daemon, sock).start()
+                assert wait_for_server(sock, timeout=10)
+                client = PlannerClient(sock, timeout=10)
+                assert client.ping()   # accepted before the race starts
+                barrier = threading.Barrier(9)
+                errors: List[BaseException] = []
+
+                def race(fn):
+                    barrier.wait()
+                    try:
+                        fn()
+                    except BaseException as exc:  # noqa: BLE001
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=race, args=(server.stop,))
+                           for _ in range(8)]
+                threads.append(threading.Thread(target=race,
+                                                args=(client.shutdown,)))
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                client.close()
+                assert not any(t.is_alive() for t in threads)
+                assert errors == [], f"trial {trial}: {errors!r}"
+                assert not os.path.exists(sock)
+        finally:
+            daemon.stop()
 
 
 # ---------------------------------------------------------------------------
