@@ -126,10 +126,10 @@ class BlockingInputs:
         return self.segments[seg_start][0], self.segments[seg_end - 1][1]
 
     # prefix sums for O(1) block queries in segment space.  The query
-    # methods read plain-python mirrors of the numpy prefixes: the DP
-    # surrogate calls pair_cost ~10^6 times per search and numpy *scalar*
-    # indexing plus float()/int() boxing dominated it (values are
-    # identical — the mirrors hold the exact same IEEE doubles / int64s)
+    # methods read plain-python mirrors of the numpy prefixes: the scalar
+    # surrogate calls them in tight loops, where numpy *scalar* indexing
+    # plus float()/int() boxing dominated (values are identical — the
+    # mirrors hold the exact same IEEE doubles / int64s)
     def __post_init__(self) -> None:
         self._fw = np.concatenate([[0.0], np.cumsum(self.seg_fw)])
         self._bw = np.concatenate([[0.0], np.cumsum(self.seg_bw)])
@@ -219,13 +219,8 @@ def make_problem(inputs: BlockingInputs, max_span: int = 64
     block + uncovered forward swap-out, assuming the earlier block swaps —
     an upper bound that residency assignment later relaxes.
 
-    The problem also carries the vectorized twins the DP's batched inner
-    loop consumes: ``pair_cost_batch`` prices one predecessor block
-    against a whole array of successor ends straight off the numpy
-    prefix-sum arrays.  Every array op is an elementwise subtraction of
-    the same IEEE doubles the scalar path reads, a ``np.maximum``
-    selection, or a multiply by 0.5 — all exactly equal to the scalar
-    results, so both paths relax the DP identically.
+    The DP's per-boundary hooks read the numpy prefix sums with the
+    scalar path's float ops in the same order, so they equal it exactly.
     """
     ledger = inputs.ledger_capacity
 
@@ -243,24 +238,27 @@ def make_problem(inputs: BlockingInputs, max_span: int = 64
     def first_cost(a: int, b: int) -> float:
         return 0.0
 
+    u = inputs.num_segments
     fw_prefix, bw_prefix, st_prefix = inputs._fw, inputs._bw, inputs._st
 
-    def pair_cost_batch(a: int, b: int, cs: np.ndarray) -> np.ndarray:
-        swap_prev = inputs.swap_time(a, b)
-        bw_next = bw_prefix[cs] - bw_prefix[b]
-        fw_next = fw_prefix[cs] - fw_prefix[b]
+    def feasible_ends(b: int) -> np.ndarray:
+        cs = np.arange(b + 1, min(u, b + max_span) + 1)
+        return cs[2 * (st_prefix[cs] - st_prefix[b]) <= ledger]
+
+    def step_costs(b: int, starts: np.ndarray,
+                   ends: np.ndarray) -> np.ndarray:
+        swap_prev = ((st_prefix[b] - st_prefix[starts])
+                     / inputs.swap_throughput)[:, None]
+        bw_next = bw_prefix[ends] - bw_prefix[b]
+        fw_next = fw_prefix[ends] - fw_prefix[b]
         return np.maximum(0.0, swap_prev - bw_next) \
             + 0.5 * np.maximum(0.0, swap_prev - fw_next)
 
-    def block_feasible_batch(b: int, cs: np.ndarray) -> np.ndarray:
-        return 2 * (st_prefix[cs] - st_prefix[b]) <= ledger
-
-    return PartitionProblem(num_segments=inputs.num_segments,
-                            pair_cost=pair_cost,
+    return PartitionProblem(num_segments=u, pair_cost=pair_cost,
                             block_feasible=block_feasible,
                             first_cost=first_cost, max_span=max_span,
-                            pair_cost_batch=pair_cost_batch,
-                            block_feasible_batch=block_feasible_batch)
+                            feasible_ends=feasible_ends,
+                            step_costs=step_costs)
 
 
 @dataclass

@@ -7,7 +7,9 @@ engines over the same problem:
 * :func:`solve_dp` — exact dynamic program over the *pairwise surrogate*
   objective (sum over consecutive block pairs of their uncovered swap time).
   The surrogate makes the problem a shortest path in an expanded
-  "(previous boundary, current boundary)" graph, solvable exactly.
+  "(previous boundary, current boundary)" graph whose arcs all point to a
+  larger boundary, so one sweep over boundaries in increasing order
+  settles every state exactly once.
 * :func:`solve_ilp` — the same shortest-path problem written as a 0/1
   min-cost-flow ILP and handed to HiGHS via ``scipy.optimize.milp``;
   included to reproduce the paper's ILP formulation and to cross-check the
@@ -69,23 +71,39 @@ class PartitionProblem:
     block_feasible: Callable[[int, int], bool]
     first_cost: Callable[[int, int], float]  # cost of the first block
     max_span: int = 64
-    #: Optional vectorized twins of ``pair_cost`` / ``block_feasible``.
-    #: ``pair_cost_batch(a, b, cs)`` prices block [a, b) against *every*
-    #: successor end in the array ``cs`` at once; ``block_feasible_batch``
-    #: returns the feasibility mask for ``cs``.  Both must be elementwise
-    #: value-identical to their scalar twins (selection/broadcast float
-    #: ops only — :func:`solve_dp` relies on exact equality to keep its
-    #: relaxation order, and therefore its answer, unchanged).  When
-    #: absent the DP falls back to the scalar calls.
-    pair_cost_batch: Optional[
-        Callable[[int, int, np.ndarray], np.ndarray]] = None
-    block_feasible_batch: Optional[
-        Callable[[int, np.ndarray], np.ndarray]] = None
+    #: Optional array hooks for :func:`solve_dp`, one call per boundary
+    #: ``b``: ``feasible_ends(b)`` is the increasing array of ends ``c``
+    #: with ``[b, c)`` feasible within the span cap, and
+    #: ``step_costs(b, starts, ends)`` the 2-D array of
+    #: ``pair_cost(a, b, c)`` for every ``a`` in ``starts`` and ``c`` in
+    #: ``ends``.  Both must equal their scalar twins exactly, so they may
+    #: only redo the same float ops in the same order.  Absent, the DP
+    #: derives them from the scalar callables.
+    feasible_ends: Optional[Callable[[int], np.ndarray]] = None
+    step_costs: Optional[
+        Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def spans(self, start: int) -> range:
         """Candidate next-boundary positions from ``start`` (span-capped)."""
         upper = min(self.num_segments, start + self.max_span)
         return range(start + 1, upper + 1)
+
+    def ends(self, b: int) -> np.ndarray:
+        """Feasible ends of a block starting at ``b``, increasing."""
+        if self.feasible_ends is not None:
+            return self.feasible_ends(b)
+        return np.array([c for c in self.spans(b)
+                         if self.block_feasible(b, c)], dtype=np.int64)
+
+    def steps(self, b: int, starts: np.ndarray,
+              ends: np.ndarray) -> np.ndarray:
+        """``pair_cost(a, b, c)`` for ``a`` in ``starts`` x ``c`` in
+        ``ends``."""
+        if self.step_costs is not None:
+            return self.step_costs(b, starts, ends)
+        return np.array([[self.pair_cost(a, b, c) for c in ends.tolist()]
+                         for a in starts.tolist()],
+                        dtype=np.float64).reshape(len(starts), len(ends))
 
 
 def solve_dp(problem: PartitionProblem) -> List[int]:
@@ -94,87 +112,62 @@ def solve_dp(problem: PartitionProblem) -> List[int]:
     Returns the boundary list (exclusive segment end indices, final element
     = num_segments).  Raises ValueError when no feasible partition exists.
 
-    When the problem carries batch hooks (``pair_cost_batch``), each
-    state expansion prices its whole feasible span in one array call
-    instead of ~``max_span`` scalar ``pair_cost`` calls — the relax loop
-    over the ``best`` dict stays scalar (and identical), so the answer
-    is bit-for-bit the same as the scalar path.  Feasible spans depend
-    only on the block start, so they are computed once per start.
+    A one-pass sweep: every arc of the state graph goes from ``(a, b)``
+    to some ``(b, c)`` with ``c > b``, so visiting boundaries ``b`` in
+    increasing order finds each state's label final and expands it once.
+    At each ``b`` the pair costs of every reachable start ``a`` and
+    feasible end ``c`` come as one array, and the rows are folded in
+    increasing ``a``: a row replaces the incumbent of ``(b, c)`` only
+    when it is below it by more than ``1e-18``.  The final state is the
+    first minimum in increasing ``a``.
+
+    The tolerance is load-bearing.  Near-equal sums a few ulps apart are
+    common (on resnet1001 at batch 128 it turns down such an
+    "improvement" in 90 of 159 boundary steps), and without it 5 of the
+    78 out-of-core registry problems in ``tests/golden/opt1_plans.json``
+    get different boundaries.  With it, and with downward-closed
+    feasibility (if ``[a, c)`` fits, every sub-interval fits, as
+    :func:`~repro.core.blocking.make_problem`'s ``2 * stash <= ledger``
+    does), the sweep returns exactly the boundaries of the FIFO
+    label-correcting queue it replaced.  Under arbitrary feasibility the
+    two may resolve ties, and sums within the tolerance, differently.
     """
     u = problem.num_segments
     if u <= 0:
         raise ValueError("empty problem")
     INF = math.inf
-
-    # per-start feasible span ends: feasibility of [b, c) is independent
-    # of the previous boundary a, so each start's span survey is shared
-    # by every (a, b) state expanded from it
-    span_cache: Dict[int, Tuple[List[int], np.ndarray]] = {}
-    batch_feasible = problem.block_feasible_batch
-
-    def feasible_span(b: int) -> Tuple[List[int], np.ndarray]:
-        hit = span_cache.get(b)
-        if hit is None:
-            if batch_feasible is not None:
-                cs = np.arange(b + 1,
-                               min(u, b + problem.max_span) + 1,
-                               dtype=np.int64)
-                arr = cs[batch_feasible(b, cs)]
-            else:
-                arr = np.asarray([c for c in problem.spans(b)
-                                  if problem.block_feasible(b, c)],
-                                 dtype=np.int64)
-            hit = (arr.tolist(), arr)
-            span_cache[b] = hit
-        return hit
-
-    # best[(a, b)] = min cost of a partition prefix ending with block [a, b)
-    best: Dict[Tuple[int, int], float] = {}
-    parent: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-    for b in feasible_span(0)[0]:
-        best[(0, b)] = problem.first_cost(0, b)
-        parent[(0, b)] = None
-    # process states in increasing b, then a (topological for appends)
-    states = sorted(best.keys())
-    queue = list(states)
-    seen = set(states)
-    qi = 0
-    pair_cost_batch = problem.pair_cost_batch
-    pair_cost = problem.pair_cost
-    while qi < len(queue):
-        a, b = queue[qi]
-        qi += 1
-        if b == u:
+    # label[a, b]: min cost of a partition prefix ending with block [a, b);
+    # prev[a, b]: the start of the block before it (-1 for the first
+    # block, -2 while the state is unreached)
+    label = np.full((u + 1, u + 1), INF)
+    prev = np.full((u + 1, u + 1), -2, dtype=np.int64)
+    first = problem.ends(0)
+    label[0, first] = [problem.first_cost(0, c) for c in first.tolist()]
+    prev[0, first] = -1
+    for b in range(1, u):
+        starts = np.flatnonzero(prev[:, b] != -2)
+        ends = problem.ends(b)
+        if not len(starts) or not len(ends):
             continue
-        base = best[(a, b)]
-        cs, cs_arr = feasible_span(b)
-        if not cs:
-            continue
-        if pair_cost_batch is not None:
-            costs = (base + pair_cost_batch(a, b, cs_arr)).tolist()
-        else:
-            costs = [base + pair_cost(a, b, c) for c in cs]
-        for c, cost in zip(cs, costs):
-            key = (b, c)
-            if cost < best.get(key, INF) - 1e-18:
-                best[key] = cost
-                parent[key] = (a, b)
-                if key not in seen:
-                    queue.append(key)
-                    seen.add(key)
-                else:
-                    # relaxed an existing state: re-expand it
-                    queue.append(key)
-    finals = [(k, v) for k, v in best.items() if k[1] == u]
-    if not finals:
+        rows = label[starts, b][:, None] + problem.steps(b, starts, ends)
+        best = np.full(len(ends), INF)
+        arg = np.full(len(ends), -2, dtype=np.int64)
+        for a, row in zip(starts.tolist(), rows):
+            better = row < best - 1e-18
+            np.copyto(best, row, where=better)
+            np.copyto(arg, a, where=better)
+        label[b, ends] = best
+        prev[b, ends] = arg
+    finals = np.flatnonzero(prev[:, u] != -2)
+    if not len(finals):
         raise ValueError("no feasible contiguous partition under the "
                          "memory constraint")
-    key = min(finals, key=lambda kv: kv[1])[0]
-    boundaries: List[int] = []
-    while key is not None:
-        boundaries.append(key[1])
-        key = parent[key]
-    return sorted(boundaries)
+    a, b = int(finals[np.argmin(label[finals, u])]), u
+    boundaries = [b]
+    while prev[a, b] >= 0:
+        a, b = int(prev[a, b]), a
+        boundaries.append(b)
+    return boundaries[::-1]
 
 
 def solve_ilp(problem: PartitionProblem,
