@@ -310,15 +310,15 @@ class CandidateEvaluator:
     rejected combinations.
 
     Evaluation is *batched*: every stage of a grid point's pricing
-    pipeline is memoized across calls.  Residency assignment, tier
-    placement and stage generation are cached here (different margins and
-    placement policies very often realize the same plan), and the
-    simulation itself runs through a shared
-    :class:`~repro.sim.trainer_sim.LoweringCache` (``lowering``) so
-    identical plans are priced once and structurally similar plans reuse
-    the lowered SimOp skeleton with re-bound durations.  The portfolio
-    sweep, local search and ACO refinement all hit the same caches —
-    their neighbourhoods overlap heavily.
+    pipeline is memoized across calls.  Residency, tier placement and each
+    realized plan's makespan (or infeasibility message) are cached here —
+    margins and placement policies very often realize the same plan — and
+    a miss builds the plan and prices it through a shared
+    :class:`~repro.sim.trainer_sim.LoweringCache` (``lowering``), so
+    similar plans reuse the lowered skeleton with re-bound durations.  The
+    memos hold scalars and atomic keys, never an exception, a simulation
+    or a plan.  The portfolio sweep, local search and ACO refinement all
+    hit the same caches — their neighbourhoods overlap heavily.
     """
 
     inputs: BlockingInputs
@@ -338,6 +338,7 @@ class CandidateEvaluator:
         self._realize_cache: OrderedDict = OrderedDict()
         self._place_cache: OrderedDict = OrderedDict()
         self._plan_cache: OrderedDict = OrderedDict()
+        self.memo_hits = 0   # pricings answered by _plan_cache
 
     @staticmethod
     def _memo(store: OrderedDict, key, value):
@@ -388,31 +389,37 @@ class CandidateEvaluator:
                              policy=ppolicy).placements)
         return dict(hit)
 
-    def plan_for(self, blocks: List[Tuple[int, int]],
-                 policies: List[BlockPolicy],
-                 placements: Dict[int, int]):
-        """The validated :class:`~repro.core.schedule.ExecutionPlan` for a
-        realized grid point (stage generation + validation memoized)."""
-        key = (tuple(blocks), tuple(policies),
-               tuple(sorted(placements.items())))
-        plan = self._recall(self._plan_cache, key)
-        if plan is None:
-            plan = self._memo(
-                self._plan_cache, key,
-                make_plan(self.model_name, self.batch_size, blocks,
-                          policies, placements=placements))
-        return plan
-
     def __call__(self, bounds: Sequence[int], margin: float,
                  ppolicy: Optional[str]) -> float:
-        from ..sim.trainer_sim import simulate_plan
+        from ..sim.trainer_sim import OutOfCoreInfeasible, simulate_plan
 
         blocks, policies = self.realize(bounds, margin)
         placements = self.place(blocks, policies, ppolicy)
-        plan = self.plan_for(blocks, policies, placements)
-        return simulate_plan(plan, self.cost, self.capacity,
-                             hierarchy=self.hierarchy,
-                             cache=self.lowering).makespan
+        key = (tuple(blocks), tuple(policies),
+               tuple(sorted(placements.items())))
+        priced = self._recall(self._plan_cache, key)
+        if priced is not None:
+            self.memo_hits += 1
+        else:  # a ValueError from make_plan propagates un-memoized
+            plan = make_plan(self.model_name, self.batch_size, blocks,
+                             policies, placements=placements)
+            try:
+                priced = simulate_plan(plan, self.cost, self.capacity,
+                                       hierarchy=self.hierarchy,
+                                       cache=self.lowering).makespan
+            except OutOfCoreInfeasible as exc:
+                priced = str(exc)
+            self._memo(self._plan_cache, key, priced)
+        if isinstance(priced, str):
+            raise OutOfCoreInfeasible(priced)
+        return priced
+
+    def stats(self) -> Dict[str, int]:
+        """The lowering cache's counters, with memo hits added to
+        ``result_hits``: both are pricings answered without simulating."""
+        stats = self.lowering.stats()
+        stats["result_hits"] += self.memo_hits
+        return stats
 
     def safe(self, bounds: Sequence[int], margin: float,
              ppolicy: Optional[str]) -> float:
@@ -550,11 +557,10 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
 
     blocks, policies = evaluator.realize(best_bounds, best_margin)
     placements = evaluator.place(blocks, policies, best_ppolicy)
-    stats = evaluator.lowering.stats() if evaluator.lowering else {}
     return BlockingResult(boundaries_segments=list(best_bounds),
                           blocks=blocks, policies=policies,
                           objective=best_value, method=method,
                           placements=placements,
                           placement_policy=best_ppolicy,
                           rejected=rejected, evaluated=sweep.evaluated,
-                          sim_cache=stats)
+                          sim_cache=evaluator.stats())

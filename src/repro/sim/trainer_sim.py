@@ -36,21 +36,22 @@ evaluation:
   from a :class:`BlockCosts` onto a skeleton, yielding the
   :class:`~repro.sim.engine.SimOp` list.
 
-A :class:`LoweringCache` memoizes every stage of that pipeline (block
-costs, ledger sizing, skeletons, bound ops, and whole simulation results)
-for one fixed ``(cost model, capacity, hierarchy)`` planning context, so
-grid points that differ only in margin / placement policy — which very
-often lower to the same plan — are priced at dictionary-lookup cost, and
-boundary candidates that share a policy structure reuse the lowered
-skeleton with patched durations instead of rebuilding from scratch.
+A :class:`LoweringCache` memoizes that pipeline (block costs, ledger
+sizing, skeletons, and each priced outcome) for one fixed ``(cost model,
+capacity, hierarchy)`` planning context, so grid points that differ only
+in margin / placement policy — which very often lower to the same plan —
+are priced at dictionary-lookup cost, and boundary candidates that share
+a policy structure reuse the lowered skeleton with re-bound durations.
+It holds scalars and atomic keys, never an exception, a ``SimResult`` or
+a plan, so a search leaves no cyclic garbage for the collector to walk.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.schedule import BlockPolicy, ExecutionPlan, Op, OpKind, Resource
 from ..costs.profiler import CostModel
@@ -136,7 +137,7 @@ class IterationResult:
     """Timing of one simulated training iteration."""
 
     plan: ExecutionPlan
-    sim: SimResult
+    sim: Optional[SimResult]           # None when priced through a cache
     makespan: float
     gpu_busy: float
     gpu_occupancy: float
@@ -153,6 +154,10 @@ class IterationResult:
         if self.storage_busy > 0:
             line += f" | storage {self.storage_busy * 1e3:7.2f} ms"
         return line
+
+
+#: The IterationResult fields after plan and sim: what a cache keeps.
+_Timing = Tuple[float, float, float, float, Dict[int, float], float, float]
 
 
 def _stash_ledger_capacity(plan: ExecutionPlan, costs: BlockCosts,
@@ -209,10 +214,11 @@ def plan_structure_key(plan: ExecutionPlan, costs: BlockCosts,
 
     Two plans with equal keys lower to the same skeleton even when their
     block boundaries (and therefore durations and byte counts) differ —
-    that is the reuse the blocking search's lowering cache exploits.
+    that is the reuse the blocking search's lowering cache exploits.  Ops
+    key on ``kind.value`` so the tuples stay atomic (the GC untracks them).
     """
     stage_sig = tuple(
-        tuple((op.kind, op.block, op.src_tier, op.dst_tier)
+        tuple((op.kind.value, op.block, op.src_tier, op.dst_tier)
               for op in stage.ops)
         for stage in plan.stages)
     placements_sig = tuple(sorted(plan.placements.items()))
@@ -426,15 +432,16 @@ class LoweringCache:
     candidates that share a policy structure share the lowered skeleton.
     This cache exploits both, layer by layer:
 
-    * ``results``   — full :class:`IterationResult` per (structure, blocks)
-      key: identical plans are priced once;
-    * ``ops``       — bound :class:`~repro.sim.engine.SimOp` lists per
-      (structure, blocks, placements) key;
+    * ``results``   — an :class:`IterationResult`'s fields minus ``plan``
+      and ``sim`` per (structure, blocks) key: identical plans priced once;
     * ``skeletons`` — cost-free skeletons per structure key, so a new
       boundary vector only re-binds durations / byte counts;
     * ``costs`` / ``ledgers`` — :func:`block_costs` and the stash-ledger
       sizing per block partition.
 
+    Layers hold scalars and atomic keys; an infeasible outcome is kept as
+    its message and re-raised fresh, never as the exception (whose
+    traceback pins the search frames, and through them this cache).
     Instances are bound to their ``(cost, capacity, hierarchy)`` triple;
     :func:`simulate_plan` refuses a cache built for a different context
     (a silent key collision would return wrong prices).  All layers are
@@ -450,11 +457,11 @@ class LoweringCache:
         self.hierarchy = hierarchy
         self.max_entries = max_entries
         self._costs: "OrderedDict[Tuple, BlockCosts]" = OrderedDict()
-        self._ledgers: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._ledgers: "OrderedDict[Tuple, Union[int, str]]" = OrderedDict()
         self._skeletons: "OrderedDict[Tuple, Tuple[SkeletonOp, ...]]" = \
             OrderedDict()
-        self._ops: "OrderedDict[Tuple, List[SimOp]]" = OrderedDict()
-        self._results: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._results: "OrderedDict[Tuple, Union[_Timing, str]]" = \
+            OrderedDict()
         self._workspace: Dict[Tuple[int, int], int] = {}
         self.hits = 0            # result-level hits (sim fully skipped)
         self.misses = 0          # result-level misses (sim actually ran)
@@ -510,7 +517,7 @@ class LoweringCache:
     def ledger_capacity(self, plan: ExecutionPlan,
                         costs: BlockCosts) -> int:
         """Stash-ledger sizing per block partition; infeasible partitions
-        cache their error so repeated probes fail fast."""
+        cache their message so repeated probes fail fast."""
         key = plan.blocks
         cached = self._get(self._ledgers, key)
         if cached is None:
@@ -519,10 +526,10 @@ class LoweringCache:
                     plan, costs, self.cost, self.capacity,
                     workspace_of=self._block_workspace)
             except OutOfCoreInfeasible as exc:
-                cached = exc
+                cached = str(exc)
             self._put(self._ledgers, key, cached, self.max_entries)
-        if isinstance(cached, OutOfCoreInfeasible):
-            raise OutOfCoreInfeasible(str(cached))
+        if isinstance(cached, str):
+            raise OutOfCoreInfeasible(cached)
         return cached  # type: ignore[return-value]
 
     def skeleton(self, plan: ExecutionPlan, costs: BlockCosts,
@@ -537,22 +544,10 @@ class LoweringCache:
             self.skeleton_hits += 1
         return skeleton  # type: ignore[return-value]
 
-    def ops(self, plan: ExecutionPlan, costs: BlockCosts,
-            structure_key: Tuple, placements_sig: Tuple,
-            prefetch_lookahead: int) -> List[SimOp]:
-        key = (structure_key, plan.blocks, placements_sig)
-        ops = self._get(self._ops, key)
-        if ops is None:
-            skeleton = self.skeleton(plan, costs, structure_key,
-                                     prefetch_lookahead)
-            ops = bind_costs(skeleton, costs)
-            self._put(self._ops, key, ops, self.max_entries)
-        return ops  # type: ignore[return-value]
+    def result(self, key: Tuple) -> Optional[Union[_Timing, str]]:
+        return self._get(self._results, key)  # type: ignore[return-value]
 
-    def result(self, key: Tuple) -> Optional[object]:
-        return self._get(self._results, key)
-
-    def store_result(self, key: Tuple, value: object) -> None:
+    def store_result(self, key: Tuple, value: Union[_Timing, str]) -> None:
         self._put(self._results, key, value, self.max_entries)
 
 
@@ -560,8 +555,8 @@ class LoweringCache:
 # Plan pricing
 # ---------------------------------------------------------------------------
 
-def _analyze(plan: ExecutionPlan, sim: SimResult) -> IterationResult:
-    """Fold a raw simulation into the per-iteration report."""
+def _analyze(sim: SimResult, batch_size: int) -> _Timing:
+    """Fold a raw simulation into the per-iteration report's fields."""
     gpu = Resource.GPU.value
     gpu_busy = sim.resource_busy.get(gpu, 0.0)
     occupancy = sim.occupancy(gpu)
@@ -582,13 +577,9 @@ def _analyze(plan: ExecutionPlan, sim: SimResult) -> IterationResult:
         prev_finish = t.finish
     storage_busy = (sim.resource_busy.get(Resource.D2S.value, 0.0)
                     + sim.resource_busy.get(Resource.S2D.value, 0.0))
-    return IterationResult(
-        plan=plan, sim=sim, makespan=sim.makespan, gpu_busy=gpu_busy,
-        gpu_occupancy=occupancy, total_stall=total_stall,
-        bw_block_stalls=bw_stalls,
-        samples_per_sec=plan.batch_size / sim.makespan
-        if sim.makespan > 0 else math.inf,
-        storage_busy=storage_busy)
+    return (sim.makespan, gpu_busy, occupancy, total_stall, bw_stalls,
+            batch_size / sim.makespan if sim.makespan > 0 else math.inf,
+            storage_busy)
 
 
 def simulate_plan(plan: ExecutionPlan, cost: CostModel,
@@ -607,7 +598,9 @@ def simulate_plan(plan: ExecutionPlan, cost: CostModel,
     ``cache`` batches repeated pricing: pass the search's shared
     :class:`LoweringCache` (built for the *same* cost model, capacity and
     hierarchy — anything else raises) and structurally identical plans
-    reuse lowered skeletons, bound op lists and whole results.
+    reuse lowered skeletons and priced results.  A cached pricing, hit or
+    miss, returns every scalar field and ``bw_block_stalls`` with ``sim``
+    set to None; call without ``cache`` for the :class:`SimResult`.
     """
     if plan.uses_storage and hierarchy is None:
         raise ValueError(
@@ -627,32 +620,32 @@ def simulate_plan(plan: ExecutionPlan, cost: CostModel,
             sim = simulate(ops, memory_capacity=ledger)
         except SimulationDeadlock as exc:
             raise OutOfCoreInfeasible(str(exc)) from exc
-        return _analyze(plan, sim)
+        return IterationResult(plan, sim, *_analyze(sim, plan.batch_size))
 
-    placements_sig = tuple(sorted(plan.placements.items()))
-    costs = cache.block_costs(plan, placements_sig)
+    costs = cache.block_costs(plan, tuple(sorted(plan.placements.items())))
     structure_key = plan_structure_key(plan, costs)
     result_key = (structure_key, plan.blocks)
     cached = cache.result(result_key)
     if cached is not None:
         cache.hits += 1
-        if isinstance(cached, OutOfCoreInfeasible):
-            raise OutOfCoreInfeasible(str(cached))
-        # same structure + same blocks + same context => same timings;
-        # only the plan object identity may differ
-        return replace(cached, plan=plan)  # type: ignore[arg-type]
-    cache.misses += 1
-    try:
-        ledger = cache.ledger_capacity(plan, costs)
-        ops = cache.ops(plan, costs, structure_key, placements_sig,
-                        prefetch_lookahead=3)
+    else:
+        cache.misses += 1
         try:
-            sim = simulate(ops, memory_capacity=ledger)
-        except SimulationDeadlock as exc:
-            raise OutOfCoreInfeasible(str(exc)) from exc
-    except OutOfCoreInfeasible as exc:
-        cache.store_result(result_key, exc)
-        raise
-    result = _analyze(plan, sim)
-    cache.store_result(result_key, result)
-    return result
+            ledger = cache.ledger_capacity(plan, costs)
+            skeleton = cache.skeleton(plan, costs, structure_key,
+                                      prefetch_lookahead=3)
+            try:
+                sim = simulate(bind_costs(skeleton, costs),
+                               memory_capacity=ledger)
+            except SimulationDeadlock as exc:
+                raise OutOfCoreInfeasible(str(exc)) from exc
+        except OutOfCoreInfeasible as exc:
+            cache.store_result(result_key, str(exc))
+            raise
+        cached = _analyze(sim, plan.batch_size)
+        cache.store_result(result_key, cached)
+    if isinstance(cached, str):
+        raise OutOfCoreInfeasible(cached)
+    # same structure + same blocks + same context => same timings; only
+    # the caller's plan is attached
+    return IterationResult(plan, None, *cached)

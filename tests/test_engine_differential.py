@@ -376,6 +376,20 @@ class TestLoweringCache:
         assert cache.hits == 1 and cache.misses == 1
         assert hit.plan is plan   # the hit re-carries the caller's plan
 
+    def test_cached_pricing_is_slim(self, small_cnn, platform):
+        """Only the uncached call carries the SimResult; the cache keeps
+        the result's fields, so a hit and a miss read the same."""
+        cost, cap = self._ctx(small_cnn, platform)
+        cache = LoweringCache(cost, cap)
+        n = len(small_cnn)
+        plan = make_plan(small_cnn.name, 64, [(0, n // 2), (n // 2, n)],
+                         [S, R])
+        assert simulate_plan(plan, cost, cap).sim is not None
+        miss = simulate_plan(plan, cost, cap, cache=cache)
+        hit = simulate_plan(plan, cost, cap, cache=cache)
+        assert miss.sim is None and hit.sim is None
+        assert miss == hit and miss.plan is plan
+
     def test_skeleton_reuse_across_boundaries(self, small_cnn, platform):
         """Same policy structure, shifted boundary: skeleton reused,
         durations re-bound, values still exact."""
@@ -396,9 +410,14 @@ class TestLoweringCache:
         cache = LoweringCache(cost, 1000.0)
         plan = make_plan(small_cnn.name, 8, [(0, len(small_cnn))], [R])
         from repro.sim import OutOfCoreInfeasible
+        messages = []
         for _ in range(2):
-            with pytest.raises(OutOfCoreInfeasible):
+            with pytest.raises(OutOfCoreInfeasible) as info:
                 simulate_plan(plan, cost, 1000.0, cache=cache)
+            messages.append(str(info.value))
+        # the second raise is a counted hit, re-raised with the same text
+        assert cache.hits == 1 and cache.misses == 1
+        assert messages[0] == messages[1]
 
     def test_mismatched_context_rejected(self, small_cnn, platform):
         cost, cap = self._ctx(small_cnn, platform)
