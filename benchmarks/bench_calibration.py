@@ -51,7 +51,7 @@ def _resnet50_blocks():
         [BlockPolicy.RESIDENT]
     plan = make_plan(graph.name, 16, list(blocks), policies)
     costs = block_costs(plan.blocks, cost)
-    names = [cost.layer(i).name for i in range(len(graph))]
+    names = [spec.name for spec in graph]
     return blocks, costs, names
 
 

@@ -172,9 +172,9 @@ def checkmate_plan(graph: LayerGraph, cost: CostModel, capacity: float,
         if not bounds or bounds[-1] != u:
             bounds.append(u)
         starts = [0] + bounds[:-1]
+        ends = [inputs.layers_of(a, b)[1] for a, b in zip(starts, bounds)]
         boundary = np.array(
-            [cost.layer_mem(inputs.layers_of(a, b)[1] - 1).activations
-             for a, b in zip(starts, bounds)], dtype=float)
+            [cost.block_activation_bytes(e - 1, e) for e in ends], dtype=float)
         if boundary.sum() <= inputs.ledger_capacity:
             break
         group *= 2

@@ -64,7 +64,6 @@ def plan_digest(graph: LayerGraph, batch_size: int, *,
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "solver_version": SOLVER_VERSION,
-        "graph": graph.canonical_dict(),
         "batch_size": int(batch_size),
         "device": canonical_spec(device),
         "transfer": transfer.canonical_dict(),
@@ -73,4 +72,14 @@ def plan_digest(graph: LayerGraph, batch_size: int, *,
                       if hierarchy is not None else None),
         "knobs": {str(k): knobs[k] for k in sorted(knobs)},
     }
-    return stable_digest(payload)
+    # This is stable_digest(payload | {"graph": graph.canonical_dict()})
+    # byte for byte: the graph's cached canonical bytes are hashed in the
+    # slot sort_keys gives the "graph" key, between the keys that sort
+    # before it and those after it, so the graph is never re-serialized.
+    head = canonical_json({k: v for k, v in payload.items() if k < "graph"})
+    tail = canonical_json({k: v for k, v in payload.items() if k > "graph"})
+    h = hashlib.sha256(head[:-1].encode("utf-8"))
+    h.update(b',"graph":')
+    h.update(graph.canonical_bytes())
+    h.update(b"," + tail[1:].encode("utf-8"))
+    return h.hexdigest()

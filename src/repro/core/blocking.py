@@ -101,7 +101,7 @@ def pinned_bytes_per_block(graph: LayerGraph, blocks: Sequence[Tuple[int, int]],
         bv = block_of[graph.index_of(v)]
         if bv - bu > 1:
             iu = graph.index_of(u)
-            pinned[bu] += cost.layer_mem(iu).activations
+            pinned[bu] += cost.block_activation_bytes(iu, iu + 1)
     return pinned
 
 

@@ -26,7 +26,7 @@ DTYPE_BYTES = 4  # FP32 training throughout, as in the paper's PyTorch setup
 
 # cuDNN-style workspace as a fraction of activation bytes, per kind.
 # Convolutions using implicit-GEMM need im2col-sized scratch.
-_WORKSPACE_FACTOR: Dict[LayerKind, float] = {
+WORKSPACE_FACTOR: Dict[LayerKind, float] = {
     LayerKind.CONV2D: 1.0,
     LayerKind.ATTENTION: 1.5,   # score matrix scratch
     LayerKind.LSTM: 0.5,
@@ -99,7 +99,7 @@ def layer_memory(spec: LayerSpec, batch_size: int,
     out_bytes = int(spec.output_elems * batch_size * dtype_bytes * act_factor)
     # dropout stashes its mask; pooling stashes argmax indices; both scale
     # with the output, which the activation term already covers.
-    ws = int(_WORKSPACE_FACTOR.get(spec.kind, 0.0) * out_bytes)
+    ws = int(WORKSPACE_FACTOR.get(spec.kind, 0.0) * out_bytes)
     return LayerMemory(
         name=spec.name,
         weights=p,

@@ -2,28 +2,32 @@
 
 The paper gathers metadata three ways — static analysis (FLOP formulas),
 device query (hardware spec), and instrumentation/benchmarks (empirical
-memory via ``memory_stats()``).  :class:`CostModel` fuses all three into
-per-layer forward/backward times and memory classes, with prefix sums so
-that any contiguous block's cost is an O(1) query — the blocking DP
+memory via ``memory_stats()``) — and profiles a model *once*, then
+projects its memory classes and compute times across batch sizes
+(§III-D).  The code splits the same way: a graph's batch-independent
+:class:`StaticProfile` is built once per graph, and :class:`CostModel` is
+its projection to one batch size, a handful of array operations.  Prefix
+sums make any contiguous block's cost an O(1) query — the blocking DP
 evaluates O(L^2) candidate blocks, so this matters for ResNet-1001.
 
 An optional calibration hook rescales analytic times toward measured ones
-(the numeric engine's wall-clock profile), mirroring the paper's
-profile-once-then-project methodology.
+(the numeric engine's wall-clock profile).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+import math
+from dataclasses import dataclass, fields
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..graph.layer_graph import LayerGraph
 from ..hardware.interconnect import TransferModel
 from ..hardware.spec import DeviceSpec
-from .flops import backward_flops, forward_flops
-from .memory import DTYPE_BYTES, BlockMemory, LayerMemory, layer_memory
+from .flops import BACKWARD_FACTOR, DEFAULT_BACKWARD_FACTOR, forward_flops, \
+    param_count
+from .memory import DTYPE_BYTES, WORKSPACE_FACTOR, BlockMemory, LayerMemory
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,54 @@ class LayerCost:
     memory: LayerMemory
 
 
+@dataclass(frozen=True, eq=False)
+class StaticProfile:
+    """The batch-independent, per-sample cost facts of a graph's layers.
+
+    One read-only array per fact, indexed like the graph, filled by the
+    scalar formulas of :mod:`repro.costs.flops` and
+    :mod:`repro.costs.memory`.  A graph builds it once
+    (:meth:`LayerGraph.static_profile
+    <repro.graph.layer_graph.LayerGraph.static_profile>`).
+    """
+
+    params: np.ndarray        # param_count (int64)
+    input_elems: np.ndarray   # per-sample input elements (int64)
+    output_elems: np.ndarray  # per-sample output elements (int64)
+    fw_flops: np.ndarray      # per-sample forward FLOPs
+    bw_factor: np.ndarray     # backward / forward FLOPs
+    ws_factor: np.ndarray     # workspace / activation bytes
+
+    @classmethod
+    def of(cls, graph: LayerGraph) -> "StaticProfile":
+        specs = list(graph)
+        profile = cls(
+            params=np.array([param_count(s) for s in specs], dtype=np.int64),
+            input_elems=np.array([s.input_elems for s in specs],
+                                 dtype=np.int64),
+            output_elems=np.array([s.output_elems for s in specs],
+                                  dtype=np.int64),
+            fw_flops=np.array([forward_flops(s) for s in specs], dtype=float),
+            bw_factor=np.array(
+                [BACKWARD_FACTOR.get(s.kind, DEFAULT_BACKWARD_FACTOR)
+                 for s in specs], dtype=float),
+            ws_factor=np.array([WORKSPACE_FACTOR.get(s.kind, 0.0)
+                                for s in specs], dtype=float),
+        )
+        for f in fields(profile):
+            getattr(profile, f.name).flags.writeable = False
+        return profile
+
+
 class CostModel:
     """Per-layer and per-block cost oracle for one (model, device, batch).
+
+    The graph's :class:`StaticProfile` projected to ``batch_size``: each
+    array is computed with the same float operations, in the same order,
+    as :func:`~repro.costs.memory.layer_memory`,
+    :func:`~repro.costs.flops.forward_flops`/``backward_flops`` and
+    :meth:`DeviceSpec.compute_time` applied layer by layer, so every value
+    equals the scalar formulas'.  Per-layer records are built on demand.
 
     All block queries are over half-open index ranges ``[start, end)`` in
     the graph's topological order, matching the planner's block definition.
@@ -52,6 +102,8 @@ class CostModel:
                  optimizer_slots: float = 1.0):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0 < act_factor < math.inf:
+            raise ValueError("act_factor must be positive and finite")
         self.graph = graph
         self.device = device
         self.transfer = transfer
@@ -62,66 +114,61 @@ class CostModel:
 
         self.calibration: Dict[str, float] = dict(calibration or {})
 
-        n = len(graph)
-        self._layers: List[LayerCost] = []
-        fw = np.zeros(n)
-        bw = np.zeros(n)
-        weights = np.zeros(n, dtype=np.int64)
-        wgrads = np.zeros(n, dtype=np.int64)
-        acts = np.zeros(n, dtype=np.int64)
-        act_grads = np.zeros(n, dtype=np.int64)
-        workspaces = np.zeros(n, dtype=np.int64)
-        inputs = np.zeros(n, dtype=np.int64)
-        for i, spec in enumerate(graph):
-            mem = layer_memory(spec, batch_size, dtype_bytes, act_factor)
-            bytes_fw = mem.inputs + mem.activations + mem.weights
-            bytes_bw = bytes_fw + mem.activation_grads + mem.weight_grads
-            t_fw = device.compute_time(forward_flops(spec, batch_size), bytes_fw)
-            t_bw = device.compute_time(backward_flops(spec, batch_size), bytes_bw)
-            scale = calibration.get(spec.name, 1.0) if calibration else 1.0
-            t_fw *= scale
-            t_bw *= scale
-            self._layers.append(LayerCost(i, spec.name, t_fw, t_bw, mem))
-            fw[i] = t_fw
-            bw[i] = t_bw
-            weights[i] = mem.weights
-            wgrads[i] = mem.weight_grads
-            acts[i] = mem.activations
-            act_grads[i] = mem.activation_grads
-            workspaces[i] = mem.workspace
-            inputs[i] = mem.inputs
+        prof = graph.static_profile()
+        # layer_memory: weight_grads == weights, activation_grads ==
+        # activations, so one array serves each pair
+        weights = prof.params * dtype_bytes
+        inputs = (prof.input_elems * batch_size * dtype_bytes
+                  * act_factor).astype(np.int64)
+        acts = (prof.output_elems * batch_size * dtype_bytes
+                * act_factor).astype(np.int64)
+        self._workspaces = (prof.ws_factor * acts).astype(np.int64)
+        bytes_fw = inputs + acts + weights
+        bytes_bw = bytes_fw + acts + weights
+        fw_flops = prof.fw_flops * batch_size
+        fw = device.compute_times(fw_flops, bytes_fw)
+        bw = device.compute_times(fw_flops * prof.bw_factor, bytes_bw)
+        if calibration:
+            scale = np.array([calibration.get(s.name, 1.0) for s in graph],
+                             dtype=float)
+            fw = fw * scale
+            bw = bw * scale
+        self._fw, self._bw = fw, bw
+        self._weights, self._inputs, self._acts = weights, inputs, acts
         # prefix sums (index 0 is the empty prefix)
         self._fw_prefix = np.concatenate([[0.0], np.cumsum(fw)])
         self._bw_prefix = np.concatenate([[0.0], np.cumsum(bw)])
         self._w_prefix = np.concatenate([[0], np.cumsum(weights)])
-        self._wg_prefix = np.concatenate([[0], np.cumsum(wgrads)])
         self._a_prefix = np.concatenate([[0], np.cumsum(acts)])
-        # per-layer arrays for the range-max / gather block queries
-        self._act_grads = act_grads
-        self._workspaces = workspaces
-        self._inputs = inputs
 
     # -- per-layer ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._layers)
+        return len(self._fw)
 
     def layer(self, i: int) -> LayerCost:
-        return self._layers[i]
+        # range() turns a negative i into the record's index, or raises
+        return LayerCost(range(len(self))[i], self.graph[i].name,
+                         self.fw_time(i), self.bw_time(i), self.layer_mem(i))
 
     def fw_time(self, i: int) -> float:
-        return self._layers[i].fw_time
+        return float(self._fw[i])
 
     def bw_time(self, i: int) -> float:
-        return self._layers[i].bw_time
+        return float(self._bw[i])
 
     def layer_mem(self, i: int) -> LayerMemory:
-        return self._layers[i].memory
+        w = int(self._weights[i])
+        a = int(self._acts[i])
+        return LayerMemory(name=self.graph[i].name, weights=w,
+                           weight_grads=w, inputs=int(self._inputs[i]),
+                           activations=a, activation_grads=a,
+                           workspace=int(self._workspaces[i]))
 
     # -- per-block (O(1) via prefix sums) -----------------------------------
 
     def _check(self, start: int, end: int) -> None:
-        if not (0 <= start < end <= len(self._layers)):
+        if not (0 <= start < end <= len(self)):
             raise ValueError(f"invalid block [{start}, {end})")
 
     def block_fw_time(self, start: int, end: int) -> float:
@@ -158,13 +205,14 @@ class CostModel:
         # per candidate grid, which made the per-call layer scan the
         # single hottest path of an uncached evaluation.
         self._check(start, end)
+        weights = int(self._w_prefix[end] - self._w_prefix[start])
         return BlockMemory(
             start=start,
             end=end,
-            weights=int(self._w_prefix[end] - self._w_prefix[start]),
-            weight_grads=int(self._wg_prefix[end] - self._wg_prefix[start]),
+            weights=weights,
+            weight_grads=weights,
             activations=int(self._a_prefix[end] - self._a_prefix[start]),
-            activation_grads=int(self._act_grads[start:end].max()),
+            activation_grads=int(self._acts[start:end].max()),
             peak_workspace=int(self._workspaces[start:end].max()),
             input_bytes=int(self._inputs[start]),
         )
@@ -226,7 +274,7 @@ def profile_graph(graph: LayerGraph, device: DeviceSpec,
     """
     from .calibration import optimizer_slots_for, stash_factor_for
 
-    graph.validate()
+    graph.validate()  # memoized on the graph
     if act_factor is None:
         act_factor = stash_factor_for(graph.name)
     if optimizer_slots is None:

@@ -311,7 +311,7 @@ def fit_validation_report(report) -> CalibrationArtifact:
     if trace is None or kp is None or costs is None:
         raise ValueError("report lacks raw artifacts; run validate_config "
                          "to produce fit inputs")
-    names = [kp.cost.layer(i).name for i in range(len(kp.cost))]
+    names = [spec.name for spec in kp.cost.graph]
     return fit_trace(trace.records, costs=costs, blocks=kp.plan.blocks,
                      layer_names=names, time_scale=report.time_scale,
                      model=report.config,

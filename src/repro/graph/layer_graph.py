@@ -16,9 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import networkx as nx
+
+if TYPE_CHECKING:
+    from ..costs.profiler import StaticProfile
 
 
 class LayerKind(Enum):
@@ -107,6 +111,16 @@ class LayerGraph:
     Layers are stored in the order they were added, which is required to be
     a valid topological order (construction fails otherwise).  That order is
     the "layer index" space KARMA's contiguous blocking operates in.
+
+    The graph memoizes what is derived from its structure alone — the
+    :meth:`validate` verdict, the canonical JSON bytes and the per-sample
+    :meth:`static_profile` — so a model is analysed once however many
+    batches it is planned at.  :meth:`add_layer` is the only mutator and
+    drops those memos; :meth:`freeze` (what :meth:`GraphBuilder.finish
+    <repro.models.builder.GraphBuilder.finish>` and :func:`chain` return)
+    makes the graph immutable, so it can be shared process-wide.  The
+    memos are filled without a lock: threads racing on a first use each
+    compute an equal value and one of them is kept.
     """
 
     def __init__(self, name: str):
@@ -114,12 +128,22 @@ class LayerGraph:
         self._layers: List[LayerSpec] = []
         self._index: Dict[str, int] = {}
         self._g = nx.DiGraph()
+        self._frozen = False
+        self._forget()
+
+    def _forget(self) -> None:
+        self._valid = False
+        self._canonical: Optional[bytes] = None
+        self._profile: Optional["StaticProfile"] = None
 
     # -- construction ------------------------------------------------------
 
     def add_layer(self, spec: LayerSpec,
                   inputs: Sequence[str] = ()) -> LayerSpec:
         """Append ``spec``, wiring data edges from each name in ``inputs``."""
+        if self._frozen:
+            raise GraphValidationError(
+                f"{self.name}: graph is frozen; cannot add {spec.name!r}")
         if spec.name in self._index:
             raise GraphValidationError(f"duplicate layer name {spec.name!r}")
         for src in inputs:
@@ -127,12 +151,19 @@ class LayerGraph:
                 raise GraphValidationError(
                     f"layer {spec.name!r} depends on unknown layer {src!r} "
                     "(layers must be added in topological order)")
+        self._forget()
         self._index[spec.name] = len(self._layers)
         self._layers.append(spec)
         self._g.add_node(spec.name)
         for src in inputs:
             self._g.add_edge(src, spec.name)
         return spec
+
+    def freeze(self) -> "LayerGraph":
+        """Validate, then forbid further :meth:`add_layer`; returns self."""
+        self.validate()
+        self._frozen = True
+        return self
 
     # -- queries -----------------------------------------------------------
 
@@ -170,6 +201,8 @@ class LayerGraph:
 
     def validate(self) -> None:
         """Check DAG-ness and that insertion order is topological."""
+        if self._valid:
+            return
         if not nx.is_directed_acyclic_graph(self._g):
             raise GraphValidationError(f"{self.name}: graph has a cycle")
         for u, v in self._g.edges():
@@ -181,6 +214,19 @@ class LayerGraph:
             if i > 0 and not list(self._g.predecessors(spec.name)):
                 raise GraphValidationError(
                     f"{self.name}: layer {spec.name!r} is disconnected")
+        self._valid = True
+
+    def static_profile(self) -> "StaticProfile":
+        """The per-sample cost facts of every layer, built on first use.
+
+        See :class:`repro.costs.profiler.StaticProfile`; a
+        :class:`~repro.costs.profiler.CostModel` projects it to a batch.
+        """
+        if self._profile is None:
+            from ..costs.profiler import StaticProfile
+
+            self._profile = StaticProfile.of(self)
+        return self._profile
 
     # -- structure analysis (for §III-F.4 non-linear model support) --------
 
@@ -234,6 +280,16 @@ class LayerGraph:
                 [u, v] for u, v in self._g.edges()),
         }
 
+    def canonical_bytes(self) -> bytes:
+        """:meth:`canonical_dict` as canonical JSON (UTF-8), built on first
+        use; what :func:`repro.cache.digest.plan_digest` hashes."""
+        if self._canonical is None:
+            from ..cache.digest import canonical_json
+
+            self._canonical = canonical_json(
+                self.canonical_dict()).encode("utf-8")
+        return self._canonical
+
     def describe(self) -> str:
         lines = [f"LayerGraph {self.name!r}: {len(self)} layers, "
                  f"{len(self.skip_edges())} skip edge(s)"]
@@ -251,5 +307,4 @@ def chain(name: str, specs: Iterable[LayerSpec]) -> LayerGraph:
     for spec in specs:
         g.add_layer(spec, inputs=[prev] if prev is not None else [])
         prev = spec.name
-    g.validate()
-    return g
+    return g.freeze()

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 GiB = 1024**3
 MiB = 1024**2
 KiB = 1024
@@ -110,6 +112,15 @@ class DeviceSpec:
         t_compute = flop_count / self.effective_flops if flop_count > 0 else 0.0
         t_memory = bytes_touched / self.mem_bandwidth if bytes_touched > 0 else 0.0
         return max(t_compute, t_memory)
+
+    def compute_times(self, flop_counts: np.ndarray,
+                      bytes_touched: np.ndarray) -> np.ndarray:
+        """:meth:`compute_time` over arrays, element for element equal."""
+        t_compute = np.where(flop_counts > 0,
+                             flop_counts / self.effective_flops, 0.0)
+        t_memory = np.where(bytes_touched > 0,
+                            bytes_touched / self.mem_bandwidth, 0.0)
+        return np.maximum(t_compute, t_memory)
 
     def __post_init__(self) -> None:
         if self.memory <= 0 or self.flops <= 0 or self.mem_bandwidth <= 0:

@@ -174,5 +174,5 @@ class GraphBuilder:
         return self.add(name, LayerKind.LOSS, (1,))
 
     def finish(self) -> LayerGraph:
-        self.graph.validate()
-        return self.graph
+        """The validated, frozen graph."""
+        return self.graph.freeze()

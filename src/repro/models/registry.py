@@ -46,11 +46,21 @@ REGISTRY: Dict[str, ModelEntry] = {
 }
 
 
+#: One frozen graph per registered name, bounded by the registry's size.
+#: No lock: two threads that race on a miss each build an identical
+#: immutable graph and the later store wins, which is harmless.
+_BUILT: Dict[str, LayerGraph] = {}
+
+
 def build(name: str) -> LayerGraph:
-    """Build a registered model's spec graph by name."""
+    """A registered model's spec graph by name: built once per process,
+    frozen, and shared by every caller."""
     if name not in REGISTRY:
         raise KeyError(f"unknown model {name!r}; known: {sorted(REGISTRY)}")
-    return REGISTRY[name].builder()
+    graph = _BUILT.get(name)
+    if graph is None:
+        graph = _BUILT[name] = REGISTRY[name].builder()
+    return graph
 
 
 def fig5_models() -> List[ModelEntry]:

@@ -114,7 +114,7 @@ def block_costs(blocks: Sequence[Tuple[int, int]],
         sb = cost.block_activation_bytes(s, e)
         wb = cost.block_weight_bytes(s, e)
         stash.append(sb)
-        bnd.append(cost.layer_mem(e - 1).activations)
+        bnd.append(cost.block_activation_bytes(e - 1, e))
         wbytes.append(wb)
         swap.append(cost.transfer.swap_time(sb))
         gswap.append(cost.transfer.swap_time(wb))

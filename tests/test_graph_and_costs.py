@@ -29,11 +29,13 @@ from repro.graph import (
     liveness_horizon,
     partition_is_legal,
 )
+from repro.costs.profiler import profile_graph
 from repro.hardware import v100_sxm2_16gb
 from repro.models import (
     MEGATRON_CONFIGS,
     TURING_NLG,
     REGISTRY,
+    build,
     fig5_models,
     tiny_gpt,
     unet,
@@ -78,6 +80,31 @@ class TestLayerGraph:
     def test_describe_contains_layers(self, small_cnn):
         text = small_cnn.describe()
         assert "conv" in text and "loss" in text
+
+    def test_built_graphs_are_frozen_and_shared(self, small_cnn):
+        assert build("unet") is build("unet")
+        chained = chain("c", [LayerSpec("a", LayerKind.INPUT, (4,), (4,))])
+        for g in (build("unet"), small_cnn, chained):
+            last = g[len(g) - 1].name
+            with pytest.raises(GraphValidationError, match="frozen"):
+                g.add_layer(LayerSpec("extra", LayerKind.RELU, (1,), (1,)),
+                            inputs=[last])
+
+    def test_add_layer_on_open_graph_resets_memos(self, platform):
+        device, _, transfer = platform
+        g = LayerGraph("g")
+        g.add_layer(LayerSpec("a", LayerKind.INPUT, (4,), (4,)))
+        g.add_layer(LayerSpec("b", LayerKind.RELU, (4,), (4,)), inputs=["a"])
+        g.validate()
+        assert len(profile_graph(g, device, transfer, 2)) == 2
+        assert b'"c"' not in g.canonical_bytes()
+        g.add_layer(LayerSpec("c", LayerKind.RELU, (4,), (4,)))
+        with pytest.raises(GraphValidationError, match="disconnected"):
+            g.validate()
+        with pytest.raises(GraphValidationError, match="disconnected"):
+            profile_graph(g, device, transfer, 2)
+        assert len(g.static_profile().params) == 3
+        assert b'"c"' in g.canonical_bytes()
 
 
 class TestTraversal:

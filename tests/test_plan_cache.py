@@ -14,6 +14,7 @@ from repro.cache import (
     plan_digest,
     stable_digest,
 )
+from repro.cache.digest import CACHE_FORMAT_VERSION
 from repro.cli import main as cli_main
 from repro.cli import plan_config
 from repro.core import plan, portfolio_search, solve_blocking
@@ -26,11 +27,12 @@ from repro.hardware import (
 )
 from repro.hardware.spec import canonical_spec, v100_sxm2_16gb
 from repro.hardware.tiering import (
+    abci_hierarchy,
     three_tier_hierarchy,
     tiny_test_hierarchy,
     two_tier_hierarchy,
 )
-from repro.models import build
+from repro.models import REGISTRY, build
 from repro.models.builder import GraphBuilder
 from repro.tiering import PlacementError
 
@@ -135,6 +137,44 @@ class TestDigest:
         import repro.core.solver as solver
         monkeypatch.setattr(solver, "SOLVER_VERSION", "999.test")
         assert plan_digest(graph, 8, **base) != before
+
+    @pytest.mark.parametrize("hierarchy", [None, "abci"])
+    @pytest.mark.parametrize("model", sorted(REGISTRY))
+    def test_digest_equals_whole_payload_digest(self, model, hierarchy):
+        """Splicing the graph's cached bytes into the payload keeps every
+        key equal to the one-shot digest of the whole payload."""
+        from repro.core.planner import _digest_inputs
+        from repro.core.solver import SOLVER_VERSION
+
+        graph = build(model)
+        device = v100_sxm2_16gb()
+        transfer = TransferModel(link=karma_swap_link(), device=device,
+                                 host=abci_host())
+        hier = abci_hierarchy() if hierarchy else None
+        cost = profile_graph(graph, device, transfer, 16,
+                             calibration={graph[2].name: 1.5})
+        knobs = {"recompute": True, "method": "auto", "max_span": 64,
+                 "placement_policy": "auto", "act_factor": cost.act_factor,
+                 "optimizer_slots": cost.optimizer_slots,
+                 "dtype_bytes": cost.dtype_bytes,
+                 "calibration": dict(cost.calibration)}
+        whole = stable_digest({
+            "format_version": CACHE_FORMAT_VERSION,
+            "solver_version": SOLVER_VERSION,
+            "graph": graph.canonical_dict(),
+            "batch_size": 16,
+            "device": canonical_spec(device),
+            "transfer": transfer.canonical_dict(),
+            "capacity": float(device.usable_memory),
+            "hierarchy": hier.canonical_dict() if hier else None,
+            "knobs": knobs,
+        })
+        assert plan_digest(graph, 16, device=device, transfer=transfer,
+                           capacity=device.usable_memory, hierarchy=hier,
+                           knobs=knobs) == whole
+        assert _digest_inputs(graph, 16, device, transfer,
+                              device.usable_memory, hier, cost, True, "auto",
+                              64, "auto") == whole
 
     def test_digest_sensitive_to_knobs(self, tiny_platform):
         graph, device, transfer, _ = tiny_platform
