@@ -42,9 +42,10 @@ from repro.obs.export import (
 )
 from repro.obs.trace import TRACER
 from repro.sim.engine import (
-    _Prepared,
+    _prepare,
     _simulate_heap,
     _simulate_ledgered,
+    finalize,
     simulate,
 )
 
@@ -100,11 +101,16 @@ def _run_public(cases):
 def _run_direct(cases):
     """The engine loops without the instrumented public dispatch."""
     for ops, ledger in cases:
-        prep = _Prepared(ops)
-        if ledger is None or not any(prep.acquires):
-            _simulate_heap(prep)
+        schedule = _prepare(ops)
+        durations = [op.duration for op in ops]
+        acquires = [op.mem_acquire for op in ops]
+        if ledger is None or not any(acquires):
+            times = _simulate_heap(schedule, durations)
         else:
-            _simulate_ledgered(prep, ledger)
+            times = _simulate_ledgered(schedule, durations, acquires,
+                                       [op.mem_release for op in ops],
+                                       ledger)
+        finalize(ops, schedule, durations, times)
 
 
 def test_disabled_overhead_under_3_percent(bench_writer):

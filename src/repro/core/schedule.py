@@ -129,6 +129,10 @@ class Op:
         return self.label()
 
 
+#: Op kinds that run on the GPU compute stream (``Op.resource`` is GPU).
+_GPU_KINDS = tuple(k for k, r in OP_RESOURCE.items() if r is Resource.GPU)
+
+
 @dataclass(frozen=True)
 class Stage:
     """A set of ops launched together; ops within a stage may overlap."""
@@ -249,7 +253,9 @@ class ExecutionPlan:
                 f"blocks cover {prev_end} layers, graph has {len(graph)}")
         # checkpoints: every recomputed block needs an upstream source
         # (-1 is the model-input sentinel: the batch itself is the source)
-        for b in self.recomputed:
+        policies = self.policies
+        recomputed = self.recomputed
+        for b in recomputed:
             src = self.checkpoints.get(b)
             if src is None:
                 raise PlanValidationError(f"recomputed block {b} lacks a "
@@ -257,56 +263,34 @@ class ExecutionPlan:
             if src >= b:
                 raise PlanValidationError(
                     f"checkpoint {src} of block {b} is not upstream")
-            if src >= 0 and self.policies[src] is BlockPolicy.RECOMPUTED:
+            if src >= 0 and policies[src] is BlockPolicy.RECOMPUTED:
                 raise PlanValidationError(
                     f"checkpoint {src} of block {b} is itself recomputed")
-        self._validate_placements()
-        self._validate_stage_order()
-
-    def _validate_placements(self) -> None:
-        """Tier legality: placements only for swapped blocks, tiers >= 1,
-        and every tier-qualified swap op consistent with its placement."""
         swapped = self.swapped
         for b, tier in self.placements.items():
             if b not in swapped:
                 raise PlanValidationError(
                     f"placement for block {b} which is not swapped "
-                    f"(policy {self.policies[b].value})")
+                    f"(policy {policies[b].value})")
             if tier < 1:
                 raise PlanValidationError(
                     f"block {b} placed in tier {tier}; stashes must leave "
                     "the device tier (tier >= 1)")
-        for stage in self.stages:
-            for op in stage.ops:
-                if op.kind is OpKind.SWAP_OUT:
-                    if op.src_tier not in (None, 0):
-                        raise PlanValidationError(
-                            f"{op.label()}: swap-out must leave the device "
-                            f"tier, not tier {op.src_tier}")
-                    if op.dst_tier is not None \
-                            and op.dst_tier != self.stash_tier(op.block):
-                        raise PlanValidationError(
-                            f"{op.label()}: dst tier {op.dst_tier} "
-                            f"contradicts placement "
-                            f"{self.stash_tier(op.block)}")
-                elif op.kind is OpKind.SWAP_IN:
-                    if op.dst_tier not in (None, 0):
-                        raise PlanValidationError(
-                            f"{op.label()}: swap-in must land in the device "
-                            f"tier, not tier {op.dst_tier}")
-                    if op.src_tier is not None \
-                            and op.src_tier != self.stash_tier(op.block):
-                        raise PlanValidationError(
-                            f"{op.label()}: src tier {op.src_tier} "
-                            f"contradicts placement "
-                            f"{self.stash_tier(op.block)}")
-                elif op.src_tier is not None or op.dst_tier is not None:
-                    raise PlanValidationError(
-                        f"{op.label()}: only swap ops may be tier-qualified")
+        self._validate_stages(recomputed)
 
-    def _validate_stage_order(self) -> None:
-        """Dependency sanity over the launch schedule."""
-        seen: List[Op] = []
+    def _validate_stages(self, recomputed: FrozenSet[int]) -> None:
+        """One walk over the launch schedule.
+
+        Checks tier legality — only swap ops may be tier-qualified, and a
+        qualified swap must leave / land in the device tier and agree with
+        its block's placement — and dependency sanity of the launch order.
+        A tier error anywhere outranks an order error, so order errors are
+        held until the walk ends.
+        """
+        n = self.num_blocks
+        policies = self.policies
+        placements = self.placements
+        order_error: Optional[str] = None
         fw_done = set()
         bw_done = set()
         swapped_out = set()
@@ -315,49 +299,68 @@ class ExecutionPlan:
         for stage in self.stages:
             # ops within a stage must use distinct resources or be swaps of
             # different blocks on the same duplex link
-            kinds = [op.resource for op in stage.ops
-                     if op.resource is Resource.GPU]
-            if len(kinds) > 1:
-                raise PlanValidationError(
-                    f"stage {stage.label()!r} launches two GPU compute ops")
+            if order_error is None and len(stage.ops) > 1 and sum(
+                    op.kind in _GPU_KINDS for op in stage.ops) > 1:
+                order_error = (f"stage {stage.label()!r} launches two GPU "
+                               "compute ops")
             for op in stage.ops:
+                kind = op.kind
                 b = op.block
-                if op.kind is OpKind.FORWARD:
+                if kind is OpKind.SWAP_OUT:
+                    tier = placements.get(b, DEFAULT_STASH_TIER)
+                    if op.src_tier not in (None, 0):
+                        raise PlanValidationError(
+                            f"{op.label()}: swap-out must leave the device "
+                            f"tier, not tier {op.src_tier}")
+                    if op.dst_tier is not None and op.dst_tier != tier:
+                        raise PlanValidationError(
+                            f"{op.label()}: dst tier {op.dst_tier} "
+                            f"contradicts placement {tier}")
+                elif kind is OpKind.SWAP_IN:
+                    tier = placements.get(b, DEFAULT_STASH_TIER)
+                    if op.dst_tier not in (None, 0):
+                        raise PlanValidationError(
+                            f"{op.label()}: swap-in must land in the device "
+                            f"tier, not tier {op.dst_tier}")
+                    if op.src_tier is not None and op.src_tier != tier:
+                        raise PlanValidationError(
+                            f"{op.label()}: src tier {op.src_tier} "
+                            f"contradicts placement {tier}")
+                elif op.src_tier is not None or op.dst_tier is not None:
+                    raise PlanValidationError(
+                        f"{op.label()}: only swap ops may be tier-qualified")
+                if order_error is not None:
+                    continue
+                if kind is OpKind.FORWARD:
                     if b > 0 and (b - 1) not in fw_done:
                         # recompute sources re-enter as FORWARD during the
                         # backward phase; treat as recompute then
-                        if (b - 1) not in bw_done and b not in self.recomputed:
-                            raise PlanValidationError(
-                                f"F{b + 1} before F{b} completed")
+                        if (b - 1) not in bw_done and b not in recomputed:
+                            order_error = f"F{b + 1} before F{b} completed"
                     fw_done.add(b)
-                elif op.kind is OpKind.RECOMPUTE:
+                elif kind is OpKind.RECOMPUTE:
                     recomputed_live.add(b)
-                elif op.kind is OpKind.BACKWARD:
-                    if b + 1 < self.num_blocks and (b + 1) not in bw_done:
-                        raise PlanValidationError(
-                            f"B{b + 1} launched before B{b + 2}")
-                    if self.policies[b] is BlockPolicy.SWAPPED \
+                elif kind is OpKind.BACKWARD:
+                    if b + 1 < n and (b + 1) not in bw_done:
+                        order_error = f"B{b + 1} launched before B{b + 2}"
+                    elif policies[b] is BlockPolicy.SWAPPED \
                             and b not in swapped_in:
-                        raise PlanValidationError(
-                            f"B{b + 1} launched before Sin{b + 1}")
-                    if self.policies[b] in (BlockPolicy.RECOMPUTED,
-                                            BlockPolicy.CHECKPOINTED) \
-                            and b not in recomputed_live:
-                        raise PlanValidationError(
-                            f"B{b + 1} launched before its recompute")
+                        order_error = f"B{b + 1} launched before Sin{b + 1}"
+                    elif b in recomputed and b not in recomputed_live:
+                        order_error = (f"B{b + 1} launched before its "
+                                       "recompute")
                     bw_done.add(b)
-                elif op.kind is OpKind.SWAP_OUT:
+                elif kind is OpKind.SWAP_OUT:
                     if b not in fw_done:
-                        raise PlanValidationError(
-                            f"Sout{b + 1} before F{b + 1}")
+                        order_error = f"Sout{b + 1} before F{b + 1}"
                     swapped_out.add(b)
-                elif op.kind is OpKind.SWAP_IN:
+                elif kind is OpKind.SWAP_IN:
                     if b not in swapped_out:
-                        raise PlanValidationError(
-                            f"Sin{b + 1} without a prior Sout{b + 1}")
+                        order_error = f"Sin{b + 1} without a prior Sout{b + 1}"
                     swapped_in.add(b)
-            seen.extend(stage.ops)
-        missing_bw = set(range(self.num_blocks)) - bw_done
+        if order_error is not None:
+            raise PlanValidationError(order_error)
+        missing_bw = set(range(n)) - bw_done
         if missing_bw:
             raise PlanValidationError(
                 f"blocks never backward-processed: {sorted(missing_bw)}")

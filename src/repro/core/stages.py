@@ -44,9 +44,16 @@ def _checkpoint_of(block: int, policies: Sequence[BlockPolicy]) -> int:
 
 
 def generate_stages(policies: Sequence[BlockPolicy],
-                    prefetch: str = "eager"
+                    prefetch: str = "eager",
+                    placements: Optional[Mapping[int, int]] = None
                     ) -> Tuple[Tuple[Stage, ...], Dict[int, int]]:
-    """Build the stage launch schedule for one iteration (Algorithm 1)."""
+    """Build the stage launch schedule for one iteration (Algorithm 1).
+
+    ``placements`` (swapped block -> stash tier) tier-qualifies the swap
+    ops of the blocks it names as they are emitted: ``Sout`` moves tier
+    0 -> tier, ``Sin`` tier -> 0.  Swaps of unnamed blocks stay untiered
+    (DRAM), and the launch order does not depend on it.
+    """
     if prefetch not in ("eager", "one_ahead", "none"):
         raise ValueError(f"unknown prefetch mode {prefetch!r}")
     n = len(policies)
@@ -56,6 +63,19 @@ def generate_stages(policies: Sequence[BlockPolicy],
     swapped = [i for i, p in enumerate(policies) if p is BlockPolicy.SWAPPED]
     checkpoints = {i: _checkpoint_of(i, policies)
                    for i, p in enumerate(policies) if p in _RECOMPUTE_LIKE}
+    tiers = placements or {}
+
+    def swap_out(b: int) -> Op:
+        tier = tiers.get(b)
+        if tier is None:
+            return Op(OpKind.SWAP_OUT, b)
+        return Op(OpKind.SWAP_OUT, b, src_tier=0, dst_tier=tier)
+
+    def swap_in(b: int) -> Op:
+        tier = tiers.get(b)
+        if tier is None:
+            return Op(OpKind.SWAP_IN, b)
+        return Op(OpKind.SWAP_IN, b, src_tier=tier, dst_tier=0)
 
     # ---- forward phase: F(b), attaching pending swap-outs to the next
     # block's forward stage (Fig. 2b: Sout launches while F(b+1) runs)
@@ -63,14 +83,13 @@ def generate_stages(policies: Sequence[BlockPolicy],
     for b in range(n):
         ops: List[Op] = [Op(OpKind.FORWARD, b)]
         while pending_out:
-            ops.append(Op(OpKind.SWAP_OUT, pending_out.pop(0)))
+            ops.append(swap_out(pending_out.pop(0)))
         stages.append(Stage(tuple(ops)))
         if policies[b] is BlockPolicy.SWAPPED:
             pending_out.append(b)
     if pending_out:
         # swapped blocks at the model tail (vDNN-style plans) flush here
-        stages.append(Stage(tuple(Op(OpKind.SWAP_OUT, b)
-                                  for b in pending_out)))
+        stages.append(Stage(tuple(swap_out(b) for b in pending_out)))
         pending_out = []
 
     # ---- backward phase: descending blocks, swap-in launch per discipline
@@ -84,7 +103,7 @@ def generate_stages(policies: Sequence[BlockPolicy],
         # stages left to right)
         if sin_queue:
             b = sin_queue.pop(0)
-            ops.insert(0, Op(OpKind.SWAP_IN, b))
+            ops.insert(0, swap_in(b))
             sin_launched.add(b)
 
     def attach_specific_sin(ops: List[Op], block: int) -> None:
@@ -94,7 +113,7 @@ def generate_stages(policies: Sequence[BlockPolicy],
             pos = 0
             while sin_queue:
                 b = sin_queue.pop(0)
-                ops.insert(pos, Op(OpKind.SWAP_IN, b))
+                ops.insert(pos, swap_in(b))
                 pos += 1
                 sin_launched.add(b)
                 if b == block:
@@ -140,26 +159,6 @@ def generate_stages(policies: Sequence[BlockPolicy],
     return tuple(stages), checkpoints
 
 
-def _qualify_tiers(stages: Tuple[Stage, ...],
-                   placements: Mapping[int, int]) -> Tuple[Stage, ...]:
-    """Rewrite swap ops with explicit src/dst tiers per the placement map."""
-    out: List[Stage] = []
-    for stage in stages:
-        ops: List[Op] = []
-        for op in stage.ops:
-            tier = placements.get(op.block)
-            if tier is None:
-                ops.append(op)
-            elif op.kind is OpKind.SWAP_OUT:
-                ops.append(Op(op.kind, op.block, src_tier=0, dst_tier=tier))
-            elif op.kind is OpKind.SWAP_IN:
-                ops.append(Op(op.kind, op.block, src_tier=tier, dst_tier=0))
-            else:
-                ops.append(op)
-        out.append(Stage(tuple(ops)))
-    return tuple(out)
-
-
 def make_plan(model_name: str, batch_size: int,
               blocks: Sequence[Tuple[int, int]],
               policies: Sequence[BlockPolicy],
@@ -173,10 +172,9 @@ def make_plan(model_name: str, batch_size: int,
     is tier-agnostic — tiers only change which link a swap occupies and how
     long it takes, not when it is launched.
     """
-    stages, checkpoints = generate_stages(policies, prefetch=prefetch)
     placements = {int(b): int(t) for b, t in (placements or {}).items()}
-    if placements:
-        stages = _qualify_tiers(stages, placements)
+    stages, checkpoints = generate_stages(policies, prefetch=prefetch,
+                                          placements=placements)
     plan = ExecutionPlan(
         model_name=model_name, batch_size=batch_size,
         blocks=tuple((int(s), int(e)) for s, e in blocks),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +80,17 @@ class StaticProfile:
         return profile
 
 
+def check_op_scales(scales: Mapping[str, float]) -> None:
+    """Raise ``ValueError`` naming the first layer whose compute-time
+    scale is not finite and > 0 — the rule
+    :func:`~repro.costs.trace_fit.fit_op_scales` applies to its own fits.
+    Any other scale corrupts every block time summed over that layer."""
+    for name, scale in scales.items():
+        if not 0 < scale < math.inf:
+            raise ValueError(f"calibration scale for layer {name!r} must be "
+                             f"finite and > 0, got {scale!r}")
+
+
 class CostModel:
     """Per-layer and per-block cost oracle for one (model, device, batch).
 
@@ -104,6 +115,7 @@ class CostModel:
             raise ValueError("batch_size must be >= 1")
         if not 0 < act_factor < math.inf:
             raise ValueError("act_factor must be positive and finite")
+        check_op_scales(calibration or {})
         self.graph = graph
         self.device = device
         self.transfer = transfer
@@ -186,6 +198,26 @@ class CostModel:
     def block_activation_bytes(self, start: int, end: int) -> int:
         self._check(start, end)
         return int(self._a_prefix[end] - self._a_prefix[start])
+
+    def block_table(self, blocks: Sequence[Tuple[int, int]]
+                    ) -> Tuple[List[float], List[float], List[int],
+                               List[int], List[int]]:
+        """Every block's fw time, bw time, activation (stash) bytes,
+        output-boundary bytes and weight bytes, as lists.
+
+        The per-block queries above for a whole partition: one indexed
+        prefix subtraction per column (the same float64/int64 ops), with
+        each block range-checked in order first.
+        """
+        for start, end in blocks:
+            self._check(start, end)
+        bounds = np.array(blocks, dtype=np.int64).reshape(-1, 2)
+        starts, ends = bounds[:, 0], bounds[:, 1]
+        return ((self._fw_prefix[ends] - self._fw_prefix[starts]).tolist(),
+                (self._bw_prefix[ends] - self._bw_prefix[starts]).tolist(),
+                (self._a_prefix[ends] - self._a_prefix[starts]).tolist(),
+                (self._a_prefix[ends] - self._a_prefix[ends - 1]).tolist(),
+                (self._w_prefix[ends] - self._w_prefix[starts]).tolist())
 
     def block_swap_bytes(self, start: int, end: int) -> int:
         """Bytes travelling per swap of this block (weights + stash)."""

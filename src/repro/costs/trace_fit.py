@@ -43,6 +43,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .profiler import check_op_scales
+
 #: Version stamp written into every artifact; readers reject mismatches.
 CALIBRATION_SCHEMA_VERSION = 1
 
@@ -120,11 +122,12 @@ class CalibrationArtifact:
                 f"this build reads version {CALIBRATION_SCHEMA_VERSION}")
         links = {r: LinkFit.from_json(f)  # type: ignore[arg-type]
                  for r, f in dict(payload.get("links", {})).items()}  # type: ignore[arg-type]
+        op_scales = {str(k): float(v) for k, v  # type: ignore[arg-type]
+                     in dict(payload.get("op_scales", {})).items()}  # type: ignore[arg-type]
+        check_op_scales(op_scales)
         return cls(model=str(payload.get("model", "")),
                    time_scale=float(payload.get("time_scale", 0.0)),  # type: ignore[arg-type]
-                   op_scales={str(k): float(v) for k, v  # type: ignore[arg-type]
-                              in dict(payload.get("op_scales", {})).items()},  # type: ignore[arg-type]
-                   links=links, version=version,
+                   op_scales=op_scales, links=links, version=version,
                    meta=dict(payload.get("meta", {})))  # type: ignore[arg-type]
 
     def save(self, path) -> None:

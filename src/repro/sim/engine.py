@@ -41,7 +41,10 @@ training iteration of a 64-block plan is a few hundred events, and the
 portfolio search can afford tens of thousands of calls per plan.
 :class:`ScheduleBuilder` is the shared op-emission front end used by the
 plan compilers (:mod:`repro.sim.trainer_sim`,
-:mod:`repro.sim.distributed_sim`).
+:mod:`repro.sim.distributed_sim`).  A :class:`Schedule` is an op
+stream's cost-free structure; :func:`simulate` prepares one per call,
+while the blocking search keeps one per skeleton and re-prices it with
+:func:`run_schedule`.
 """
 
 from __future__ import annotations
@@ -120,10 +123,10 @@ class SimResult:
     def resource_timings(self, resource: str) -> List[OpTiming]:
         """Timings of every op on ``resource``, sorted by (start, finish).
 
-        Computed once per resource and cached — both :meth:`idle_gaps` and
-        the stall attribution in :func:`repro.sim.trainer_sim.simulate_plan`
-        walk this list, and re-sorting it per call dominated occupancy
-        reporting on large plans.
+        Computed once per resource and cached — :meth:`idle_gaps` and the
+        stall reporting (:mod:`repro.sim.stall`) walk this list, and
+        re-sorting it per call dominated occupancy reporting on large
+        plans.
         """
         cached = self._by_resource.get(resource)
         if cached is None:
@@ -190,17 +193,18 @@ class ScheduleBuilder:
     """
 
     def __init__(self) -> None:
-        self._resources: List[str] = []
+        #: per-op resource and label columns, in emission order
+        self.resources: List[str] = []
+        self.labels: List[str] = []
         self._durations: List[float] = []
         self._deps: List[Tuple[DepSpec, ...]] = []
         self._acquires: List[int] = []
         self._releases: List[int] = []
-        self._labels: List[str] = []
         self._require: List[bool] = []
         self._ids: Dict[Hashable, int] = {}
 
     def __len__(self) -> int:
-        return len(self._resources)
+        return len(self.resources)
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._ids
@@ -218,40 +222,45 @@ class ScheduleBuilder:
              acquire: int = 0, release: int = 0,
              label: str = "", require_deps: bool = False) -> int:
         """Append one op; returns its id (dense, in emission order)."""
-        op_id = len(self._resources)
-        self._resources.append(resource)
+        op_id = len(self.resources)
+        self.resources.append(resource)
         self._durations.append(duration)
         self._deps.append(tuple(deps))
         self._acquires.append(acquire)
         self._releases.append(release)
-        self._labels.append(label)
+        self.labels.append(label)
         self._require.append(require_deps)
         if key is not None:
             self._ids[key] = op_id
         return op_id
 
-    def build(self) -> List[SimOp]:
-        """Materialize the accumulated columns as a :class:`SimOp` list."""
+    def resolve(self) -> List[Tuple[int, ...]]:
+        """Every op's dependencies as op ids, symbolic keys resolved
+        against the final key map (see the class docstring)."""
         ids = self._ids
-        ops: List[SimOp] = []
-        for op_id in range(len(self._resources)):
+        out: List[Tuple[int, ...]] = []
+        for op_id, specs in enumerate(self._deps):
             resolved: List[int] = []
-            for d in self._deps[op_id]:
+            for d in specs:
                 if isinstance(d, int):
                     resolved.append(d)
                 elif d in ids:
                     resolved.append(ids[d])
                 elif self._require[op_id]:
                     raise SimulationDeadlock(
-                        f"op {self._labels[op_id] or op_id} depends on "
+                        f"op {self.labels[op_id] or op_id} depends on "
                         f"never-emitted key {d!r}")
-            ops.append(SimOp(op_id=op_id, resource=self._resources[op_id],
-                             duration=self._durations[op_id],
-                             deps=tuple(resolved),
-                             mem_acquire=self._acquires[op_id],
-                             mem_release=self._releases[op_id],
-                             label=self._labels[op_id]))
-        return ops
+            out.append(tuple(resolved))
+        return out
+
+    def build(self) -> List[SimOp]:
+        """Materialize the accumulated columns as a :class:`SimOp` list."""
+        return [SimOp(op_id=op_id, resource=self.resources[op_id],
+                      duration=self._durations[op_id], deps=deps,
+                      mem_acquire=self._acquires[op_id],
+                      mem_release=self._releases[op_id],
+                      label=self.labels[op_id])
+                for op_id, deps in enumerate(self.resolve())]
 
 
 # ---------------------------------------------------------------------------
@@ -384,125 +393,127 @@ class _MemoryLedger:
 # Simulation
 # ---------------------------------------------------------------------------
 
-class _Prepared:
-    """Dense scheduling state shared by both engine paths.
+class Schedule:
+    """The cost-free structure of one op stream, prepared for the loops.
 
-    Ops are re-indexed to dense positions so every hot-loop lookup is a
-    list index, not a dict probe; per-resource FIFO queues hold dense
-    indices; ``busy`` (per-resource duration sums, accumulated in op
-    order — the float addition order the summary is defined in) is static
-    and computed here once.
+    Ops are dense positions.  Per-resource FIFO queues hold positions in
+    issue order; ``deps``, ``dependents`` and ``indeg`` are the resolved
+    edges, so scheduling an op touches only its dependents.  Every
+    container is a tuple of ints (of strs for ``resources``/``labels``),
+    which the cyclic collector untracks: a lowering cache keeps one
+    Schedule per skeleton and prices it any number of times with fresh
+    durations and byte counts through :func:`run_schedule`.
+    ``deps`` must already be valid positions (:func:`simulate` checks
+    caller-built ops before preparing them).
     """
 
-    __slots__ = ("ops", "n", "resources", "queues", "queue_of_op",
-                 "indeg", "dependents", "deps", "durations", "acquires",
-                 "releases", "busy")
+    __slots__ = ("n", "resources", "queues", "queue_of_op", "deps",
+                 "dependents", "indeg", "labels")
 
-    def __init__(self, ops: Sequence[SimOp]):
-        self.ops = ops
-        n = self.n = len(ops)
-        dense = True
-        for i in range(n):
-            if ops[i].op_id != i:
-                dense = False
-                break
-        if dense:
-            # ids equal positions: nothing to remap, just range-check deps
-            for op in ops:
-                for d in op.deps:
-                    if d < 0 or d >= n:
-                        raise ValueError(
-                            f"op {op.label or op.op_id} depends on "
-                            f"unknown op {d}")
-            deps = [op.deps for op in ops]
-        else:
-            idx: Dict[int, int] = {}
-            for i, op in enumerate(ops):
-                if op.op_id in idx:
-                    raise ValueError("duplicate op ids")
-                idx[op.op_id] = i
-            try:
-                deps = [tuple(idx[d] for d in op.deps) for op in ops]
-            except KeyError as exc:
-                bad = exc.args[0]
-                who = next(op for op in ops if bad in op.deps)
-                raise ValueError(f"op {who.label or who.op_id} depends on "
-                                 f"unknown op {bad}") from exc
-        self.deps = deps
-
+    def __init__(self, resources: Sequence[str],
+                 deps: Sequence[Tuple[int, ...]],
+                 labels: Sequence[str]) -> None:
+        n = self.n = len(resources)
         queue_index: Dict[str, int] = {}
-        resources: List[str] = []
         queues: List[List[int]] = []
-        busy: List[float] = []
         queue_of_op = [0] * n
-        durations = [0.0] * n
-        acquires = [0] * n
-        releases = [0] * n
-        for i, op in enumerate(ops):
-            qi = queue_index.get(op.resource)
+        for i, resource in enumerate(resources):
+            qi = queue_index.get(resource)
             if qi is None:
-                qi = len(queues)
-                queue_index[op.resource] = qi
-                resources.append(op.resource)
+                qi = queue_index[resource] = len(queues)
                 queues.append([])
-                busy.append(0.0)
             queues[qi].append(i)
             queue_of_op[i] = qi
-            busy[qi] += op.duration
-            durations[i] = op.duration
-            acquires[i] = op.mem_acquire
-            releases[i] = op.mem_release
-        self.resources = resources
-        self.queues = queues
-        self.queue_of_op = queue_of_op
-        self.busy = busy
-        self.durations = durations
-        self.acquires = acquires
-        self.releases = releases
-
-        indeg = [0] * n
         dependents: List[List[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            ds = deps[i]
-            indeg[i] = len(ds)
+        for i, ds in enumerate(deps):
             for d in ds:
                 dependents[d].append(i)
-        self.indeg = indeg
-        self.dependents = dependents
+        self.resources = tuple(queue_index)
+        self.queues = tuple(map(tuple, queues))
+        self.queue_of_op = tuple(queue_of_op)
+        self.deps = tuple(deps)
+        self.dependents = tuple(map(tuple, dependents))
+        self.indeg = tuple(map(len, self.deps))
+        self.labels = tuple(labels)
 
     def stuck_heads(self, heads: List[int]) -> List[str]:
-        out = []
-        for qi, q in enumerate(self.queues):
-            if heads[qi] < len(q):
-                op = self.ops[q[heads[qi]]]
-                out.append(op.label or str(op.op_id))
-        return out
-
-    def finalize(self, starts: List[float], finishes: List[float],
-                 readies: List[float]) -> SimResult:
-        """Summary from the dense arrays — identical values to
-        :func:`summarize`: per-resource busy sums accumulate in op order,
-        and FIFO scheduling makes starts/finishes monotone per queue, so
-        span endpoints are the first start / last finish."""
-        ops = self.ops
-        timings = {op.op_id: OpTiming(op, starts[i], finishes[i],
-                                      readies[i])
-                   for i, op in enumerate(ops)}
-        makespan = 0.0
-        resource_busy: Dict[str, float] = {}
-        span: Dict[str, Tuple[float, float]] = {}
-        for qi, q in enumerate(self.queues):
-            hi = finishes[q[-1]]
-            span[self.resources[qi]] = (starts[q[0]], hi)
-            resource_busy[self.resources[qi]] = self.busy[qi]
-            if hi > makespan:
-                makespan = hi
-        return SimResult(timings=timings, makespan=makespan,
-                         resource_busy=resource_busy, resource_span=span)
+        return [self.labels[q[heads[qi]]]
+                for qi, q in enumerate(self.queues) if heads[qi] < len(q)]
 
 
-def _simulate_heap(prep: _Prepared,
-                   stats: Optional[Dict[str, int]] = None) -> SimResult:
+#: Per-op (starts, finishes, readies) of one scheduled stream, by position.
+Times = Tuple[List[float], List[float], List[float]]
+
+
+def _prepare(ops: Sequence[SimOp]) -> Schedule:
+    """The :class:`Schedule` of caller-built ops: ids re-indexed to dense
+    positions (every hot-loop lookup is then a list index, not a dict
+    probe) and every dependency checked to name a known op."""
+    n = len(ops)
+    dense = True
+    for i in range(n):
+        if ops[i].op_id != i:
+            dense = False
+            break
+    if dense:
+        # ids equal positions: nothing to remap, just range-check deps
+        for op in ops:
+            for d in op.deps:
+                if d < 0 or d >= n:
+                    raise ValueError(
+                        f"op {op.label or op.op_id} depends on "
+                        f"unknown op {d}")
+        deps = [op.deps for op in ops]
+    else:
+        idx: Dict[int, int] = {}
+        for i, op in enumerate(ops):
+            if op.op_id in idx:
+                raise ValueError("duplicate op ids")
+            idx[op.op_id] = i
+        try:
+            deps = [tuple(idx[d] for d in op.deps) for op in ops]
+        except KeyError as exc:
+            bad = exc.args[0]
+            who = next(op for op in ops if bad in op.deps)
+            raise ValueError(f"op {who.label or who.op_id} depends on "
+                             f"unknown op {bad}") from exc
+    return Schedule([op.resource for op in ops], deps,
+                    [op.label or str(op.op_id) for op in ops])
+
+
+def queue_busy(queue: Sequence[int], durations: Sequence[float]) -> float:
+    """Summed durations of one resource queue, added in issue order: the
+    float addition order every busy-time summary is defined in."""
+    busy = 0.0
+    for i in queue:
+        busy += durations[i]
+    return busy
+
+
+def finalize(ops: Sequence[SimOp], schedule: Schedule,
+             durations: Sequence[float], times: Times) -> SimResult:
+    """Fold one scheduled stream into a :class:`SimResult` — identical
+    values to :func:`summarize`: per-resource busy sums accumulate in op
+    order, and FIFO scheduling makes starts/finishes monotone per queue,
+    so span endpoints are the first start / last finish."""
+    starts, finishes, readies = times
+    timings = {op.op_id: OpTiming(op, starts[i], finishes[i], readies[i])
+               for i, op in enumerate(ops)}
+    makespan = 0.0
+    resource_busy: Dict[str, float] = {}
+    span: Dict[str, Tuple[float, float]] = {}
+    for resource, q in zip(schedule.resources, schedule.queues):
+        hi = finishes[q[-1]]
+        span[resource] = (starts[q[0]], hi)
+        resource_busy[resource] = queue_busy(q, durations)
+        if hi > makespan:
+            makespan = hi
+    return SimResult(timings=timings, makespan=makespan,
+                     resource_busy=resource_busy, resource_span=span)
+
+
+def _simulate_heap(schedule: Schedule, durations: Sequence[float],
+                   stats: Optional[Dict[str, int]] = None) -> Times:
     """Unledgered path: without a memory ledger an op's timing is a pure
     function of its deps and its FIFO predecessor, so a priority queue of
     dep-ready resource heads keyed by earliest feasible start schedules
@@ -512,14 +523,13 @@ def _simulate_heap(prep: _Prepared,
     receives the event count and the heap's population peak; when it is
     None the loop pays a single local-bool check per event.
     """
-    queues = prep.queues
-    deps = prep.deps
-    indeg = list(prep.indeg)
-    dependents = prep.dependents
-    durations = prep.durations
-    queue_of_op = prep.queue_of_op
+    queues = schedule.queues
+    deps = schedule.deps
+    indeg = list(schedule.indeg)
+    dependents = schedule.dependents
+    queue_of_op = schedule.queue_of_op
     nq = len(queues)
-    n = prep.n
+    n = schedule.n
     heads = [0] * nq
     resource_free = [0.0] * nq
     starts = [0.0] * n
@@ -577,15 +587,17 @@ def _simulate_heap(prep: _Prepared,
     if remaining:
         raise SimulationDeadlock(
             f"no progress; blocked resource heads: "
-            f"{prep.stuck_heads(heads)}")
+            f"{schedule.stuck_heads(heads)}")
     if stats is not None:
         stats["events"] = n
         stats["heap_peak"] = heap_peak
-    return prep.finalize(starts, finishes, readies)
+    return starts, finishes, readies
 
 
-def _simulate_ledgered(prep: _Prepared, memory_capacity: int,
-                       stats: Optional[Dict[str, int]] = None) -> SimResult:
+def _simulate_ledgered(schedule: Schedule, durations: Sequence[float],
+                       acquires: Sequence[int], releases: Sequence[int],
+                       memory_capacity: int,
+                       stats: Optional[Dict[str, int]] = None) -> Times:
     """Ledgered path: greedy drain of each resource queue in issue order
     (the seed engine's semantics — ledger placement is order-dependent, so
     this order *is* the spec), revisiting a resource only when a wakeup
@@ -595,16 +607,13 @@ def _simulate_ledgered(prep: _Prepared, memory_capacity: int,
     ``stats`` (observability) receives the event count and ledger
     telemetry post hoc — the scheduling loop itself is untouched.
     """
-    queues = prep.queues
-    deps = prep.deps
-    indeg = list(prep.indeg)
-    dependents = prep.dependents
-    durations = prep.durations
-    acquires = prep.acquires
-    releases = prep.releases
-    queue_of_op = prep.queue_of_op
+    queues = schedule.queues
+    deps = schedule.deps
+    indeg = list(schedule.indeg)
+    dependents = schedule.dependents
+    queue_of_op = schedule.queue_of_op
     nq = len(queues)
-    n = prep.n
+    n = schedule.n
     heads = [0] * nq
     resource_free = [0.0] * nq
     starts = [0.0] * n
@@ -672,12 +681,12 @@ def _simulate_ledgered(prep: _Prepared, memory_capacity: int,
         if not progressed and remaining:
             raise SimulationDeadlock(
                 f"no progress; blocked resource heads: "
-                f"{prep.stuck_heads(heads)}")
+                f"{schedule.stuck_heads(heads)}")
     if stats is not None:
         stats["events"] = n
         stats["ledger_events"] = len(ledger._times)
         stats["ledger_repairs"] = ledger.repairs
-    return prep.finalize(starts, finishes, readies)
+    return starts, finishes, readies
 
 
 def simulate(ops: Sequence[SimOp],
@@ -708,35 +717,59 @@ def simulate(ops: Sequence[SimOp],
     if not ops:
         return SimResult(timings={}, makespan=0.0, resource_busy={},
                          resource_span={})
-    prep = _Prepared(ops)
-    if memory_capacity is None or not any(prep.acquires):
+    schedule = _prepare(ops)
+    durations = [op.duration for op in ops]
+    times = run_schedule(schedule, durations,
+                         [op.mem_acquire for op in ops],
+                         [op.mem_release for op in ops], memory_capacity)
+    return finalize(ops, schedule, durations, times)
+
+
+def run_schedule(schedule: Schedule, durations: Sequence[float],
+                 acquires: Sequence[int], releases: Sequence[int],
+                 memory_capacity: Optional[int] = None) -> Times:
+    """Schedule a prepared stream with one set of per-op costs.
+
+    The engine behind :func:`simulate`, for callers that keep a
+    :class:`Schedule` and re-price it: same arguments per op position,
+    same dispatch (the unledgered heap path when no op acquires memory),
+    same :class:`SimulationDeadlock`; returns (starts, finishes, readies)
+    instead of a :class:`SimResult`.
+    """
+    if memory_capacity is None or not any(acquires):
         if not TRACER.enabled:
-            return _simulate_heap(prep)
-        return _simulate_instrumented(prep, None)
+            return _simulate_heap(schedule, durations)
+        return _simulate_instrumented(schedule, durations, acquires,
+                                      releases, None)
     if not TRACER.enabled:
-        return _simulate_ledgered(prep, memory_capacity)
-    return _simulate_instrumented(prep, memory_capacity)
+        return _simulate_ledgered(schedule, durations, acquires, releases,
+                                  memory_capacity)
+    return _simulate_instrumented(schedule, durations, acquires, releases,
+                                  memory_capacity)
 
 
-def _simulate_instrumented(prep: _Prepared,
-                           memory_capacity: Optional[int]) -> SimResult:
-    """Tracing-enabled twin of the :func:`simulate` dispatch: identical
-    timings, plus a span and engine-stat metrics (events processed,
-    ledger repairs, heap population peak)."""
+def _simulate_instrumented(schedule: Schedule, durations: Sequence[float],
+                           acquires: Sequence[int], releases: Sequence[int],
+                           memory_capacity: Optional[int]) -> Times:
+    """Tracing-enabled twin of the :func:`run_schedule` dispatch:
+    identical timings, plus a span and engine-stat metrics (events
+    processed, ledger repairs, heap population peak)."""
     stats: Dict[str, int] = {}
     path = "heap" if memory_capacity is None else "ledgered"
-    with TRACER.span("sim.simulate", "sim", ops=prep.n, path=path) as sp:
+    with TRACER.span("sim.simulate", "sim", ops=schedule.n,
+                     path=path) as sp:
         if memory_capacity is None:
-            result = _simulate_heap(prep, stats)
+            times = _simulate_heap(schedule, durations, stats)
         else:
-            result = _simulate_ledgered(prep, memory_capacity, stats)
+            times = _simulate_ledgered(schedule, durations, acquires,
+                                       releases, memory_capacity, stats)
         sp.set(**stats)
     METRICS.counter("sim.runs").inc()
-    METRICS.counter("sim.events").inc(prep.n)
+    METRICS.counter("sim.events").inc(schedule.n)
     if "heap_peak" in stats:
         METRICS.histogram("sim.heap_peak").observe(stats["heap_peak"])
     if "ledger_repairs" in stats:
         METRICS.counter("sim.ledger_repairs").inc(stats["ledger_repairs"])
         METRICS.histogram("sim.ledger_events").observe(
             stats["ledger_events"])
-    return result
+    return times

@@ -31,19 +31,23 @@ evaluation:
 * :func:`compile_skeleton` walks the stage schedule once and produces the
   *structure* — op roles, resources, labels, resolved dependency ids —
   which depends only on policies / stage order / which blocks chain
-  through storage, **not** on where the block boundaries sit;
-* :func:`bind_costs` stamps durations and acquire/release byte counts
-  from a :class:`BlockCosts` onto a skeleton, yielding the
-  :class:`~repro.sim.engine.SimOp` list.
+  through storage, **not** on where the block boundaries sit; prepared
+  once, it becomes the engine's :class:`~repro.sim.engine.Schedule`;
+* one role -> cost rule binds durations and acquire/release byte counts
+  from a :class:`BlockCosts` into flat per-op lists, which
+  :func:`~repro.sim.engine.run_schedule` prices; the report's fields are
+  folded from the resulting start/finish arrays.  :func:`bind_costs` is
+  the same rule yielding a :class:`~repro.sim.engine.SimOp` list.
 
 A :class:`LoweringCache` memoizes that pipeline (block costs, ledger
-sizing, skeletons, and each priced outcome) for one fixed ``(cost model,
-capacity, hierarchy)`` planning context, so grid points that differ only
-in margin / placement policy — which very often lower to the same plan —
-are priced at dictionary-lookup cost, and boundary candidates that share
-a policy structure reuse the lowered skeleton with re-bound durations.
-It holds scalars and atomic keys, never an exception, a ``SimResult`` or
-a plan, so a search leaves no cyclic garbage for the collector to walk.
+sizing, prepared skeletons, and each priced outcome) for one fixed
+``(cost model, capacity, hierarchy)`` planning context, so grid points
+that differ only in margin / placement policy — which very often lower
+to the same plan — are priced at dictionary-lookup cost, and boundary
+candidates that share a policy structure reuse the prepared skeleton
+with re-bound durations, building no per-op object.  It holds scalars,
+atomic keys and int tuples, never an exception, a ``SimResult`` or a
+plan, so a search leaves no cyclic garbage for the collector to walk.
 """
 
 from __future__ import annotations
@@ -51,17 +55,22 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.schedule import BlockPolicy, ExecutionPlan, Op, OpKind, Resource
+from ..core.schedule import BlockPolicy, ExecutionPlan, OpKind, Resource
 from ..costs.profiler import CostModel
 from ..hardware.tiering import MemoryHierarchy
 from .engine import (
+    Schedule,
     ScheduleBuilder,
     SimOp,
     SimResult,
     SimulationDeadlock,
-    simulate,
+    Times,
+    finalize,
+    queue_busy,
+    run_schedule,
 )
 
 
@@ -103,31 +112,23 @@ def block_costs(blocks: Sequence[Tuple[int, int]],
 
     When ``hierarchy``/``placements`` are given, blocks placed past DRAM
     also get storage-link hop times (the DRAM <-> NVMe legs of the chained
-    transfer); the host-link leg keeps the calibrated ``swap_time``.
+    transfer); the host-link leg keeps the calibrated ``swap_time``.  A
+    placement is read only when its tier is >= 2 and a hierarchy is
+    given, which is what :class:`LoweringCache` keys block costs on.
     """
-    fw, bw, stash, bnd, wbytes, swap, gswap = [], [], [], [], [], [], []
-    sto_out, sto_in = [], []
-    placements = placements or {}
-    for bi, (s, e) in enumerate(blocks):
-        fw.append(cost.block_fw_time(s, e))
-        bw.append(cost.block_bw_time(s, e))
-        sb = cost.block_activation_bytes(s, e)
-        wb = cost.block_weight_bytes(s, e)
-        stash.append(sb)
-        bnd.append(cost.block_activation_bytes(e - 1, e))
-        wbytes.append(wb)
-        swap.append(cost.transfer.swap_time(sb))
-        gswap.append(cost.transfer.swap_time(wb))
-        tier = placements.get(bi, 1)
-        if tier >= 2 and hierarchy is not None:
-            sto_out.append(hierarchy.transfer_time(sb, 1, tier))
-            sto_in.append(hierarchy.transfer_time(sb, tier, 1))
-        else:
-            sto_out.append(0.0)
-            sto_in.append(0.0)
+    fw, bw, stash, bnd, wbytes = cost.block_table(blocks)
+    swap_time = cost.transfer.swap_time
+    sto_out, sto_in = [0.0] * len(stash), [0.0] * len(stash)
+    if hierarchy is not None and placements:
+        for bi, sb in enumerate(stash):
+            tier = placements.get(bi, 1)
+            if tier >= 2:
+                sto_out[bi] = hierarchy.transfer_time(sb, 1, tier)
+                sto_in[bi] = hierarchy.transfer_time(sb, tier, 1)
     return BlockCosts(fw=tuple(fw), bw=tuple(bw), stash_bytes=tuple(stash),
                       boundary_bytes=tuple(bnd), weight_bytes=tuple(wbytes),
-                      swap_time=tuple(swap), grad_swap_time=tuple(gswap),
+                      swap_time=tuple(map(swap_time, stash)),
+                      grad_swap_time=tuple(map(swap_time, wbytes)),
                       storage_out_time=tuple(sto_out),
                       storage_in_time=tuple(sto_in))
 
@@ -191,7 +192,7 @@ def _stash_ledger_capacity(plan: ExecutionPlan, costs: BlockCosts,
 # ---------------------------------------------------------------------------
 
 # Op roles: the cost-binding rule for each emitted op.  The skeleton pins
-# (role, block, resource, label, deps); bind_costs turns a role into
+# (role, block, resource, label, deps); _RULE turns a role into
 # (duration, mem_acquire, mem_release) for a concrete BlockCosts.
 _ROLE_FW_KEEP = 0     # forward, stash stays near
 _ROLE_FW_DROP = 1     # forward of a RECOMPUTED block (drop whole stash)
@@ -204,8 +205,37 @@ _ROLE_RC = 7          # recompute of a RECOMPUTED block
 _ROLE_RC_CKPT = 8     # recompute of a CHECKPOINTED block
 _ROLE_BW = 9          # backward
 
+#: The role -> cost rule, indexed by role: the (duration, acquire,
+#: release) of an op on block b are entry b of these per-block columns
+#: (see _bind): ``ckpt`` is stash minus the kept output boundary, ``0``
+#: is nothing.
+_RULE = (
+    ("fw", "stash", "0"),          # _ROLE_FW_KEEP
+    ("fw", "stash", "stash"),      # _ROLE_FW_DROP
+    ("fw", "stash", "ckpt"),       # _ROLE_FW_CKPT
+    ("swap", "0", "stash"),        # _ROLE_SOUT
+    ("storage_out", "0", "0"),     # _ROLE_SOUT_STORE
+    ("swap", "stash", "0"),        # _ROLE_SIN
+    ("storage_in", "0", "0"),      # _ROLE_SIN_STORE
+    ("fw", "stash", "0"),          # _ROLE_RC
+    ("fw", "ckpt", "0"),           # _ROLE_RC_CKPT
+    ("bw", "0", "stash"),          # _ROLE_BW
+)
+
 #: One skeleton op: (role, block, resource, label, resolved dep ids).
 SkeletonOp = Tuple[int, int, str, str, Tuple[int, ...]]
+
+#: A skeleton prepared for pricing: per-op roles and blocks, plus the
+#: engine's :class:`~repro.sim.engine.Schedule` (queues, deps, labels).
+_Lowered = Tuple[Tuple[int, ...], Tuple[int, ...], Schedule]
+
+#: Per-op (durations, acquires, releases) of one bound skeleton.
+_Bound = Tuple[List[float], List[int], List[int]]
+
+
+#: An op's (kind value, block, src tier, dst tier), read at C speed:
+#: ``_value_`` is the plain attribute behind the ``Enum.value`` descriptor.
+_op_signature = attrgetter("kind._value_", "block", "src_tier", "dst_tier")
 
 
 def plan_structure_key(plan: ExecutionPlan, costs: BlockCosts,
@@ -215,19 +245,17 @@ def plan_structure_key(plan: ExecutionPlan, costs: BlockCosts,
     Two plans with equal keys lower to the same skeleton even when their
     block boundaries (and therefore durations and byte counts) differ —
     that is the reuse the blocking search's lowering cache exploits.  Ops
-    key on ``kind.value`` so the tuples stay atomic (the GC untracks them).
+    key on their kind's value string so the tuples stay atomic (the GC
+    untracks them).
     """
-    stage_sig = tuple(
-        tuple((op.kind.value, op.block, op.src_tier, op.dst_tier)
-              for op in stage.ops)
-        for stage in plan.stages)
-    placements_sig = tuple(sorted(plan.placements.items()))
-    chained_out = frozenset(
-        b for b in range(plan.num_blocks)
-        if plan.stash_tier(b) >= 2 and costs.storage_out(b) > 0)
-    chained_in = frozenset(
-        b for b in range(plan.num_blocks)
-        if plan.stash_tier(b) >= 2 and costs.storage_in(b) > 0)
+    stage_sig = tuple(tuple(map(_op_signature, stage.ops))
+                      for stage in plan.stages)
+    placements = plan.placements
+    placements_sig = tuple(sorted(placements.items()))
+    chained_out = frozenset(b for b, tier in placements.items()
+                            if tier >= 2 and costs.storage_out(b) > 0)
+    chained_in = frozenset(b for b, tier in placements.items()
+                           if tier >= 2 and costs.storage_in(b) > 0)
     return (stage_sig, plan.policies, placements_sig, chained_out,
             chained_in, prefetch_lookahead)
 
@@ -249,161 +277,178 @@ def compile_skeleton(plan: ExecutionPlan, costs: BlockCosts,
     Swaps placed past DRAM lower to a chained op pair — the host-link hop
     plus a storage-link hop on the exclusive ``d2s``/``s2d`` resources —
     so one plan-level op may produce two skeleton ops.  Symbolic keys
-    always point at the *final* hop (the one downstream deps must wait
-    for); the :class:`~repro.sim.engine.ScheduleBuilder` resolves them
-    against the final key map at build time.
+    (``(kind letter, block)`` tuples) always point at the *final* hop (the
+    one downstream deps must wait for); the
+    :class:`~repro.sim.engine.ScheduleBuilder` resolves them against the
+    final key map.  Labels are the paper notation of the plan's ops
+    (the storage hop carries the tier suffix).
     """
     builder = ScheduleBuilder()
+    emit = builder.emit
     roles: List[int] = []
     blocks: List[int] = []
     n = plan.num_blocks
+    policies = plan.policies
+    placements = plan.placements
+    gpu, d2h, h2d = Resource.GPU.value, Resource.D2H.value, Resource.H2D.value
+    d2s, s2d = Resource.D2S.value, Resource.S2D.value
+    recomputed, checkpointed = BlockPolicy.RECOMPUTED, BlockPolicy.CHECKPOINTED
 
-    def emit(role: int, block: int, resource: str, label: str,
-             deps: Sequence[object], key: Optional[Tuple[OpKind, int]],
-             require_deps: bool = False) -> int:
-        roles.append(role)
-        blocks.append(block)
-        return builder.emit(resource, 0.0, key=key, deps=deps, label=label,
-                            require_deps=require_deps)
-
-    def checkpoint_key(block: int) -> Optional[Tuple[OpKind, int]]:
-        """The op whose output feeds block's recompute."""
-        prev = block - 1
-        if prev < 0:
-            return None
-        prev_policy = plan.policies[prev]
-        if prev_policy is BlockPolicy.RECOMPUTED:
-            return (OpKind.RECOMPUTE, prev)
-        if prev_policy is BlockPolicy.SWAPPED:
-            return (OpKind.SWAP_IN, prev)
-        # RESIDENT, or CHECKPOINTED whose boundary survived forward
-        return (OpKind.FORWARD, prev)
-
-    gpu_kinds = (OpKind.FORWARD, OpKind.BACKWARD, OpKind.RECOMPUTE)
-    last_gpu_prev_stages: Optional[Tuple[OpKind, int]] = None
+    last_gpu_prev_stages: Optional[Tuple[str, int]] = None
     for stage in plan.stages:
-        stage_gpu: Optional[Tuple[OpKind, int]] = None
+        stage_gpu: Optional[Tuple[str, int]] = None
         for op in stage.ops:
+            kind = op.kind
             b = op.block
-            policy = plan.policies[b]
-            plain = Op(op.kind, b)
-            if op.kind is OpKind.FORWARD:
-                deps: List[object] = []
-                if b > 0:
-                    deps.append((OpKind.FORWARD, b - 1))
+            policy = policies[b]
+            if kind is OpKind.FORWARD:
                 # RECOMPUTED blocks drop their whole stash after forward;
                 # CHECKPOINTED blocks keep only their output boundary
-                if policy is BlockPolicy.RECOMPUTED:
-                    role = _ROLE_FW_DROP
-                elif policy is BlockPolicy.CHECKPOINTED:
-                    role = _ROLE_FW_CKPT
+                if policy is recomputed:
+                    roles.append(_ROLE_FW_DROP)
+                elif policy is checkpointed:
+                    roles.append(_ROLE_FW_CKPT)
                 else:
-                    role = _ROLE_FW_KEEP
-                emit(role, b, Resource.GPU.value, plain.label(), deps,
-                     (OpKind.FORWARD, b))
-            elif op.kind is OpKind.SWAP_OUT:
-                tier = plan.stash_tier(b)
-                if tier >= 2 and costs.storage_out(b) > 0:
+                    roles.append(_ROLE_FW_KEEP)
+                blocks.append(b)
+                stage_gpu = ("F", b)
+                emit(gpu, 0.0, key=stage_gpu,
+                     deps=(("F", b - 1),) if b > 0 else (),
+                     label=f"F{b + 1}")
+            elif kind is OpKind.SWAP_OUT:
+                if placements.get(b, 1) >= 2 and costs.storage_out(b) > 0:
                     # chained demotion: D2H stages into the DRAM bounce
                     # buffer (stash leaves the device ledger here), then
                     # the storage write occupies the exclusive D2S link
-                    host_hop = emit(
-                        _ROLE_SOUT, b, Resource.D2H.value, f"Sout{b + 1}",
-                        [(OpKind.FORWARD, b)], None)
-                    emit(_ROLE_SOUT_STORE, b, Resource.D2S.value,
-                         op.label(), [host_hop], (OpKind.SWAP_OUT, b))
+                    roles += (_ROLE_SOUT, _ROLE_SOUT_STORE)
+                    blocks += (b, b)
+                    host_hop = emit(d2h, 0.0, deps=(("F", b),),
+                                    label=f"Sout{b + 1}")
+                    emit(d2s, 0.0, key=("Sout", b), deps=(host_hop,),
+                         label=op.label())
                 else:
-                    emit(_ROLE_SOUT, b, Resource.D2H.value, plain.label(),
-                         [(OpKind.FORWARD, b)], (OpKind.SWAP_OUT, b))
-            elif op.kind is OpKind.SWAP_IN:
-                deps = [(OpKind.SWAP_OUT, b)]
+                    roles.append(_ROLE_SOUT)
+                    blocks.append(b)
+                    emit(d2h, 0.0, key=("Sout", b), deps=(("F", b),),
+                         label=f"Sout{b + 1}")
+            elif kind is OpKind.SWAP_IN:
+                deps: List[Tuple[str, int]] = [("Sout", b)]
                 if last_gpu_prev_stages is not None:
                     deps.append(last_gpu_prev_stages)
                 if prefetch_lookahead and b + prefetch_lookahead < n:
-                    deps.append((OpKind.BACKWARD, b + prefetch_lookahead))
-                tier = plan.stash_tier(b)
-                if tier >= 2 and costs.storage_in(b) > 0:
+                    deps.append(("B", b + prefetch_lookahead))
+                if placements.get(b, 1) >= 2 and costs.storage_in(b) > 0:
                     # chained promotion: the storage read (S2D) lands in
                     # DRAM first; only the H2D hop claims device memory
+                    roles += (_ROLE_SIN_STORE, _ROLE_SIN)
+                    blocks += (b, b)
                     storage_hop = emit(
-                        _ROLE_SIN_STORE, b, Resource.S2D.value, op.label(),
-                        deps, None)
-                    emit(_ROLE_SIN, b, Resource.H2D.value, f"Sin{b + 1}",
-                         [storage_hop], (OpKind.SWAP_IN, b))
+                        s2d, 0.0, deps=deps,
+                        label=op.label())
+                    emit(h2d, 0.0, key=("Sin", b), deps=(storage_hop,),
+                         label=f"Sin{b + 1}")
                 else:
-                    emit(_ROLE_SIN, b, Resource.H2D.value, plain.label(),
-                         deps, (OpKind.SWAP_IN, b))
-            elif op.kind is OpKind.RECOMPUTE:
-                key = checkpoint_key(b)
-                deps = [key] if key is not None else []
-                if plan.policies[b] is BlockPolicy.CHECKPOINTED:
-                    role = _ROLE_RC_CKPT
-                else:
-                    role = _ROLE_RC
-                emit(role, b, Resource.GPU.value, plain.label(), deps,
-                     (OpKind.RECOMPUTE, b), require_deps=True)
-            elif op.kind is OpKind.BACKWARD:
-                deps = []
-                if b + 1 < n:
-                    deps.append((OpKind.BACKWARD, b + 1))
+                    roles.append(_ROLE_SIN)
+                    blocks.append(b)
+                    emit(h2d, 0.0, key=("Sin", b), deps=deps,
+                         label=f"Sin{b + 1}")
+            elif kind is OpKind.RECOMPUTE:
+                # the recompute's input: the previous block's output,
+                # re-derived, swapped back in, or kept since forward
+                prev = b - 1
+                if prev < 0:
+                    source: Tuple[Tuple[str, int], ...] = ()
+                elif policies[prev] is recomputed:
+                    source = (("R", prev),)
+                elif policies[prev] is BlockPolicy.SWAPPED:
+                    source = (("Sin", prev),)
+                else:  # RESIDENT, or CHECKPOINTED (boundary survived)
+                    source = (("F", prev),)
+                roles.append(_ROLE_RC_CKPT if policy is checkpointed
+                             else _ROLE_RC)
+                blocks.append(b)
+                stage_gpu = ("R", b)
+                emit(gpu, 0.0, key=stage_gpu, deps=source,
+                     label=f"F{b + 1}", require_deps=True)
+            elif kind is OpKind.BACKWARD:
+                deps = [("B", b + 1)] if b + 1 < n else []
                 if policy is BlockPolicy.SWAPPED:
-                    deps.append((OpKind.SWAP_IN, b))
-                elif policy in (BlockPolicy.RECOMPUTED,
-                                BlockPolicy.CHECKPOINTED):
-                    deps.append((OpKind.RECOMPUTE, b))
+                    deps.append(("Sin", b))
+                elif policy is recomputed or policy is checkpointed:
+                    deps.append(("R", b))
                 else:
-                    deps.append((OpKind.FORWARD, b))
-                emit(_ROLE_BW, b, Resource.GPU.value, plain.label(), deps,
-                     (OpKind.BACKWARD, b))
+                    deps.append(("F", b))
+                roles.append(_ROLE_BW)
+                blocks.append(b)
+                stage_gpu = ("B", b)
+                emit(gpu, 0.0, key=stage_gpu, deps=deps,
+                     label=f"B{b + 1}")
             else:
                 raise ValueError(f"single-worker plans cannot contain "
                                  f"{op.kind}")
-            if op.kind in gpu_kinds:
-                stage_gpu = (op.kind, b)
         if stage_gpu is not None:
             last_gpu_prev_stages = stage_gpu
 
-    built = builder.build()
-    return tuple((roles[i], blocks[i], sim_op.resource, sim_op.label,
-                  sim_op.deps) for i, sim_op in enumerate(built))
+    return tuple(zip(roles, blocks, builder.resources, builder.labels,
+                     builder.resolve()))
+
+
+def _columns(skeleton: Sequence[SkeletonOp]) -> Tuple[Tuple, ...]:
+    """The skeleton's (roles, blocks, resources, labels, deps) columns."""
+    return tuple(zip(*skeleton)) or ((),) * 5
+
+
+def _lower(skeleton: Sequence[SkeletonOp]) -> _Lowered:
+    """Prepare a skeleton for pricing: what a :class:`LoweringCache`
+    keeps per structure key."""
+    roles, blocks, resources, labels, deps = _columns(skeleton)
+    return roles, blocks, Schedule(resources, deps, labels)
+
+
+def _bind(roles: Sequence[int], blocks: Sequence[int],
+          labels: Sequence[str], costs: BlockCosts) -> _Bound:
+    """Apply :data:`_RULE` to every op; raises :class:`SimOp`'s
+    ``ValueError`` for the first op with a negative duration or byte
+    count."""
+    n = len(costs.fw)
+    no_time = (0.0,) * n
+    columns: Dict[str, Sequence[Any]] = {
+        "fw": costs.fw, "bw": costs.bw, "stash": costs.stash_bytes,
+        "swap": costs.swap_time, "0": (0,) * n,
+        "ckpt": [s - k for s, k in zip(costs.stash_bytes,
+                                       costs.boundary_bytes)],
+        "storage_out": costs.storage_out_time or no_time,
+        "storage_in": costs.storage_in_time or no_time,
+    }
+    duration_of = [columns[name] for name, _, _ in _RULE]
+    acquire_of = [columns[name] for _, name, _ in _RULE]
+    release_of = [columns[name] for _, _, name in _RULE]
+    ops = tuple(zip(roles, blocks))
+    durations = [duration_of[role][b] for role, b in ops]
+    acquires = [acquire_of[role][b] for role, b in ops]
+    releases = [release_of[role][b] for role, b in ops]
+    if (any(d < 0 for d in durations) or min(acquires, default=0) < 0
+            or min(releases, default=0) < 0):
+        for i, d in enumerate(durations):
+            if d < 0:
+                raise ValueError(f"op {labels[i]}: negative duration")
+            if acquires[i] < 0 or releases[i] < 0:
+                raise ValueError("memory amounts must be non-negative")
+    return durations, acquires, releases
+
+
+def _sim_ops(skeleton: Sequence[SkeletonOp], bound: _Bound) -> List[SimOp]:
+    return [SimOp(op_id=i, resource=resource, duration=duration, deps=deps,
+                  mem_acquire=acquire, mem_release=release, label=label)
+            for i, ((_, _, resource, label, deps), duration, acquire,
+                    release) in enumerate(zip(skeleton, *bound))]
 
 
 def bind_costs(skeleton: Sequence[SkeletonOp],
                costs: BlockCosts) -> List[SimOp]:
     """Stamp durations and byte counts from ``costs`` onto a skeleton."""
-    fw, bw = costs.fw, costs.bw
-    stash, boundary = costs.stash_bytes, costs.boundary_bytes
-    swap = costs.swap_time
-    ops: List[SimOp] = []
-    for op_id, (role, b, resource, label, deps) in enumerate(skeleton):
-        acquire = 0
-        release = 0
-        if role == _ROLE_FW_KEEP:
-            duration, acquire = fw[b], stash[b]
-        elif role == _ROLE_FW_DROP:
-            duration, acquire, release = fw[b], stash[b], stash[b]
-        elif role == _ROLE_FW_CKPT:
-            duration, acquire = fw[b], stash[b]
-            release = stash[b] - boundary[b]
-        elif role == _ROLE_SOUT:
-            duration, release = swap[b], stash[b]
-        elif role == _ROLE_SOUT_STORE:
-            duration = costs.storage_out(b)
-        elif role == _ROLE_SIN:
-            duration, acquire = swap[b], stash[b]
-        elif role == _ROLE_SIN_STORE:
-            duration = costs.storage_in(b)
-        elif role == _ROLE_RC:
-            duration, acquire = fw[b], stash[b]
-        elif role == _ROLE_RC_CKPT:
-            duration = fw[b]
-            acquire = stash[b] - boundary[b]
-        else:  # _ROLE_BW
-            duration, release = bw[b], stash[b]
-        ops.append(SimOp(op_id=op_id, resource=resource, duration=duration,
-                         deps=deps, mem_acquire=acquire,
-                         mem_release=release, label=label))
-    return ops
+    roles, blocks, _, labels, _ = _columns(skeleton)
+    return _sim_ops(skeleton, _bind(roles, blocks, labels, costs))
 
 
 def compile_plan(plan: ExecutionPlan, costs: BlockCosts,
@@ -434,10 +479,11 @@ class LoweringCache:
 
     * ``results``   — an :class:`IterationResult`'s fields minus ``plan``
       and ``sim`` per (structure, blocks) key: identical plans priced once;
-    * ``skeletons`` — cost-free skeletons per structure key, so a new
-      boundary vector only re-binds durations / byte counts;
-    * ``costs`` / ``ledgers`` — :func:`block_costs` and the stash-ledger
-      sizing per block partition.
+    * ``skeletons`` — prepared skeletons (roles, blocks and the
+      engine's :class:`~repro.sim.engine.Schedule`) per structure key, so
+      a new boundary vector only re-binds durations / byte counts;
+    * ``costs`` / ``ledgers`` — :func:`block_costs` per (partition,
+      storage-placed blocks) and the stash-ledger sizing per partition.
 
     Layers hold scalars and atomic keys; an infeasible outcome is kept as
     its message and re-raised fresh, never as the exception (whose
@@ -495,9 +541,13 @@ class LoweringCache:
             store.move_to_end(key)
         return value
 
-    def block_costs(self, plan: ExecutionPlan,
-                    placements_sig: Tuple) -> BlockCosts:
-        key = (plan.blocks, placements_sig)
+    def block_costs(self, plan: ExecutionPlan) -> BlockCosts:
+        """:func:`block_costs` per (blocks, storage-placed (block, tier)
+        pairs): the only placements it reads, so DRAM-only plans that
+        share a partition share one entry."""
+        storage = () if self.hierarchy is None else tuple(sorted(
+            (b, tier) for b, tier in plan.placements.items() if tier >= 2))
+        key = (plan.blocks, storage)
         costs = self._get(self._costs, key)
         if costs is None:
             costs = block_costs(plan.blocks, self.cost,
@@ -532,17 +582,17 @@ class LoweringCache:
             raise OutOfCoreInfeasible(cached)
         return cached  # type: ignore[return-value]
 
-    def skeleton(self, plan: ExecutionPlan, costs: BlockCosts,
-                 structure_key: Tuple,
-                 prefetch_lookahead: int) -> Tuple[SkeletonOp, ...]:
-        skeleton = self._get(self._skeletons, structure_key)
-        if skeleton is None:
-            skeleton = compile_skeleton(plan, costs, prefetch_lookahead)
-            self._put(self._skeletons, structure_key, skeleton,
+    def lowered(self, plan: ExecutionPlan, costs: BlockCosts,
+                structure_key: Tuple, prefetch_lookahead: int) -> _Lowered:
+        lowered = self._get(self._skeletons, structure_key)
+        if lowered is None:
+            lowered = _lower(compile_skeleton(plan, costs,
+                                              prefetch_lookahead))
+            self._put(self._skeletons, structure_key, lowered,
                       self.max_entries)
         else:
             self.skeleton_hits += 1
-        return skeleton  # type: ignore[return-value]
+        return lowered  # type: ignore[return-value]
 
     def result(self, key: Tuple) -> Optional[Union[_Timing, str]]:
         return self._get(self._results, key)  # type: ignore[return-value]
@@ -555,31 +605,53 @@ class LoweringCache:
 # Plan pricing
 # ---------------------------------------------------------------------------
 
-def _analyze(sim: SimResult, batch_size: int) -> _Timing:
-    """Fold a raw simulation into the per-iteration report's fields."""
-    gpu = Resource.GPU.value
-    gpu_busy = sim.resource_busy.get(gpu, 0.0)
-    occupancy = sim.occupancy(gpu)
-    # one cached sort serves both the gap list and the stall attribution
-    gpu_ops = sim.resource_timings(gpu)
-    gaps = sim.idle_gaps(gpu)
-    total_stall = sum(hi - lo for lo, hi in gaps)
+def _timing(lowered: _Lowered, durations: Sequence[float],
+            times: Times, batch_size: int) -> _Timing:
+    """Fold one priced skeleton into the per-iteration report's fields.
 
-    # attribute each idle gap to the GPU op that follows it
+    Reads the start/finish arrays directly: a FIFO queue's issue order is
+    its (start, finish) order, so the GPU queue is already the timeline
+    whose idle gaps are the stalls; each gap is charged to the GPU op
+    that follows it, and to its block when that op is a backward.
+    """
+    roles, blocks, schedule = lowered
+    starts, finishes, _ = times
+    queues = dict(zip(schedule.resources, schedule.queues))
+    makespan = 0.0
+    for q in schedule.queues:
+        if finishes[q[-1]] > makespan:
+            makespan = finishes[q[-1]]
+    gpu = queues.get(Resource.GPU.value, ())
+    gpu_busy = queue_busy(gpu, durations)
+    occupancy = 1.0
+    if gpu and finishes[gpu[-1]] > starts[gpu[0]]:
+        occupancy = gpu_busy / (finishes[gpu[-1]] - starts[gpu[0]])
+    gaps: List[float] = []
     bw_stalls: Dict[int, float] = {}
-    prev_finish: Optional[float] = None
-    for t in gpu_ops:
-        if prev_finish is not None and t.start > prev_finish + 1e-15:
-            if t.op.label.startswith("B"):
-                block = int(t.op.label[1:]) - 1
-                bw_stalls[block] = bw_stalls.get(block, 0.0) \
-                    + (t.start - prev_finish)
-        prev_finish = t.finish
-    storage_busy = (sim.resource_busy.get(Resource.D2S.value, 0.0)
-                    + sim.resource_busy.get(Resource.S2D.value, 0.0))
-    return (sim.makespan, gpu_busy, occupancy, total_stall, bw_stalls,
-            batch_size / sim.makespan if sim.makespan > 0 else math.inf,
+    for prev, i in zip(gpu, gpu[1:]):
+        if starts[i] > finishes[prev] + 1e-15:
+            gaps.append(starts[i] - finishes[prev])
+            if roles[i] == _ROLE_BW:
+                bw_stalls[blocks[i]] = bw_stalls.get(blocks[i], 0.0) \
+                    + gaps[-1]
+    storage_busy = (
+        queue_busy(queues.get(Resource.D2S.value, ()), durations)
+        + queue_busy(queues.get(Resource.S2D.value, ()), durations))
+    return (makespan, gpu_busy, occupancy, sum(gaps), bw_stalls,
+            batch_size / makespan if makespan > 0 else math.inf,
             storage_busy)
+
+
+def _price(lowered: _Lowered, costs: BlockCosts, ledger: int,
+           batch_size: int) -> Tuple[_Timing, _Bound, Times]:
+    """Bind, schedule and fold one lowered skeleton."""
+    roles, blocks, schedule = lowered
+    bound = _bind(roles, blocks, schedule.labels, costs)
+    try:
+        times = run_schedule(schedule, *bound, memory_capacity=ledger)
+    except SimulationDeadlock as exc:
+        raise OutOfCoreInfeasible(str(exc)) from exc
+    return _timing(lowered, bound[0], times, batch_size), bound, times
 
 
 def simulate_plan(plan: ExecutionPlan, cost: CostModel,
@@ -615,14 +687,15 @@ def simulate_plan(plan: ExecutionPlan, cost: CostModel,
         costs = block_costs(plan.blocks, cost, hierarchy=hierarchy,
                             placements=plan.placements)
         ledger = _stash_ledger_capacity(plan, costs, cost, capacity)
-        ops = compile_plan(plan, costs)
-        try:
-            sim = simulate(ops, memory_capacity=ledger)
-        except SimulationDeadlock as exc:
-            raise OutOfCoreInfeasible(str(exc)) from exc
-        return IterationResult(plan, sim, *_analyze(sim, plan.batch_size))
+        skeleton = compile_skeleton(plan, costs)
+        lowered = _lower(skeleton)
+        timing, bound, times = _price(lowered, costs, ledger,
+                                      plan.batch_size)
+        sim = finalize(_sim_ops(skeleton, bound), lowered[2], bound[0],
+                       times)
+        return IterationResult(plan, sim, *timing)
 
-    costs = cache.block_costs(plan, tuple(sorted(plan.placements.items())))
+    costs = cache.block_costs(plan)
     structure_key = plan_structure_key(plan, costs)
     result_key = (structure_key, plan.blocks)
     cached = cache.result(result_key)
@@ -632,17 +705,12 @@ def simulate_plan(plan: ExecutionPlan, cost: CostModel,
         cache.misses += 1
         try:
             ledger = cache.ledger_capacity(plan, costs)
-            skeleton = cache.skeleton(plan, costs, structure_key,
-                                      prefetch_lookahead=3)
-            try:
-                sim = simulate(bind_costs(skeleton, costs),
-                               memory_capacity=ledger)
-            except SimulationDeadlock as exc:
-                raise OutOfCoreInfeasible(str(exc)) from exc
+            lowered = cache.lowered(plan, costs, structure_key,
+                                    prefetch_lookahead=3)
+            cached = _price(lowered, costs, ledger, plan.batch_size)[0]
         except OutOfCoreInfeasible as exc:
             cache.store_result(result_key, str(exc))
             raise
-        cached = _analyze(sim, plan.batch_size)
         cache.store_result(result_key, cached)
     if isinstance(cached, str):
         raise OutOfCoreInfeasible(cached)

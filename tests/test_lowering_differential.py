@@ -1,0 +1,257 @@
+"""Candidate pricing, held to the pipeline it replaced.
+
+``tests/_reference_lowering.py`` keeps the earlier lowering verbatim:
+per-op ``Op``/``SimOp`` objects, a ``SimResult`` folded through a sort,
+tier qualification as a second pass over the stages and a two-walk
+``validate``.  The tests here draw random block partitions and hold every
+observable of today's pipeline to it: skeleton tuples, structure keys,
+block costs, stage schedules, ``repr`` of every ``IterationResult`` field
+(uncached, cached miss, cached hit, and a second partition through the
+same cache), the uncached ``SimResult``, and the type and message of
+every failure — ledger sizing, stash-ledger deadlocks and validation.
+
+The draws cover all four policies (recompute chains included), the three
+prefetch modes, DRAM and NVMe placements with and without a hierarchy,
+blocks whose costs are forced to zero (zero-duration ops, empty stashes)
+and stash ledgers small enough to deadlock.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+from contextlib import ExitStack
+from unittest import mock
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core import make_plan
+from repro.core.schedule import BlockPolicy, ExecutionPlan, Op, OpKind, Stage
+from repro.core.stages import generate_stages
+from repro.costs import profile_graph
+from repro.hardware import TransferModel, abci_host, karma_swap_link
+from repro.hardware.spec import v100_sxm2_16gb
+from repro.hardware.tiering import abci_hierarchy
+from repro.sim import trainer_sim
+from repro.sim.engine import SimulationDeadlock
+from repro.sim.trainer_sim import (
+    LoweringCache,
+    OutOfCoreInfeasible,
+    block_costs,
+    compile_skeleton,
+    plan_structure_key,
+    simulate_plan,
+)
+from tests import _reference_lowering as ref
+from tests.helpers import build_small_cnn, build_small_unet
+
+S, R = BlockPolicy.SWAPPED, BlockPolicy.RECOMPUTED
+POLICIES = (S, BlockPolicy.RESIDENT, R, BlockPolicy.CHECKPOINTED)
+FIELDS = ("makespan", "gpu_busy", "gpu_occupancy", "total_stall",
+          "bw_block_stalls", "samples_per_sec", "storage_busy")
+FAILURES = (OutOfCoreInfeasible, SimulationDeadlock, ValueError)
+
+
+@functools.lru_cache(maxsize=None)
+def _context(name: str):
+    graph = build_small_cnn() if name == "cnn" else build_small_unet()
+    device = v100_sxm2_16gb()
+    transfer = TransferModel(link=karma_swap_link(), device=device,
+                             host=abci_host())
+    return graph, profile_graph(graph, device, transfer, 8)
+
+
+def _partition(draw, length: int, k: int):
+    cuts = sorted(draw(st.sets(st.integers(1, length - 1),
+                               min_size=k - 1, max_size=k - 1)))
+    bounds = [0] + cuts + [length]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+@st.composite
+def cases(draw):
+    """Two plans with one policy vector, prefetch mode and placement map
+    but (usually) different partitions, plus the pricing context."""
+    graph, cost = _context(draw(st.sampled_from(("cnn", "unet"))))
+    k = draw(st.integers(1, 8))
+    policies = draw(st.lists(st.sampled_from(POLICIES), min_size=k,
+                             max_size=k))
+    prefetch = draw(st.sampled_from(("eager", "one_ahead", "none")))
+    placements = {b: draw(st.sampled_from((1, 2)))
+                  for b, p in enumerate(policies)
+                  if p is S and draw(st.booleans())}
+    hierarchy = abci_hierarchy() if draw(st.booleans()) else None
+    plans = [make_plan(graph.name, 8, _partition(draw, len(graph), k),
+                       policies, prefetch=prefetch, placements=placements)
+             for _ in range(2)]
+    # ledger = stash room past persistent state and the workspace peak;
+    # small slacks deadlock the stash ledger or leave it empty
+    slack = draw(st.sampled_from((None, 0.0, 0.25, 0.6, 1.0, 3.0)))
+    if slack is None:
+        capacity = 16e9
+    else:
+        workspace = max(cost.block_memory(s, e).peak_workspace
+                        for plan in plans for s, e in plan.blocks)
+        capacity = float(cost.persistent_bytes() + workspace
+                         + slack * cost.total_activation_bytes / k)
+    zero = draw(st.sets(st.integers(0, k - 1)))
+    zero_bytes = draw(st.booleans())
+    return plans, cost, capacity, hierarchy, (zero, zero_bytes)
+
+
+def _zeroing(original, zero, zero_bytes):
+    """``block_costs`` with the chosen blocks' times (and optionally
+    stash/boundary bytes) forced to zero."""
+    def wrapped(*args, **kwargs):
+        costs = original(*args, **kwargs)
+
+        def z(column, value):
+            return tuple(value if i in zero else v
+                         for i, v in enumerate(column))
+
+        changes = {name: z(getattr(costs, name), 0.0)
+                   for name in ("fw", "bw", "swap_time", "storage_out_time",
+                                "storage_in_time")}
+        if zero_bytes:
+            changes.update(stash_bytes=z(costs.stash_bytes, 0),
+                           boundary_bytes=z(costs.boundary_bytes, 0))
+        return dataclasses.replace(costs, **changes)
+    return wrapped
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except FAILURES as exc:
+        return type(exc), str(exc)
+
+
+def _fields(result):
+    return [repr(getattr(result, name)) for name in FIELDS]
+
+
+def _rows(lowered):
+    """A cached lowering entry back as skeleton tuples."""
+    roles, blocks, schedule = lowered
+    resources = [schedule.resources[q] for q in schedule.queue_of_op]
+    return tuple(zip(roles, blocks, resources, schedule.labels,
+                     schedule.deps))
+
+
+@given(case=cases())
+def test_pricing_matches_reference(case):
+    plans, cost, capacity, hierarchy, (zero, zero_bytes) = case
+    for plan in plans:
+        new = block_costs(plan.blocks, cost, hierarchy, plan.placements)
+        old = ref.block_costs(plan.blocks, cost, hierarchy, plan.placements)
+        assert repr(new) == repr(old)
+    cache = LoweringCache(cost, capacity, hierarchy)
+    with ExitStack() as patches:
+        for module in (trainer_sim, ref):
+            patches.enter_context(mock.patch.object(
+                module, "block_costs",
+                _zeroing(module.block_costs, zero, zero_bytes)))
+        for plan in plans:
+            expect = _outcome(lambda: ref.reference_simulate_plan(
+                plan, cost, capacity, hierarchy))
+            plain = _outcome(lambda: simulate_plan(plan, cost, capacity,
+                                                   hierarchy=hierarchy))
+            priced = [_outcome(lambda: simulate_plan(
+                plan, cost, capacity, hierarchy=hierarchy, cache=cache))
+                for _ in range(2)]   # a miss (or skeleton hit), then a hit
+            if expect[0] != "ok":
+                assert plain == expect
+                assert priced == [expect, expect]
+                continue
+            sim, timing = expect[1]
+            assert _fields(plain[1]) == [repr(v) for v in timing]
+            for status, result in priced:
+                assert status == "ok" and result.sim is None
+                assert _fields(result) == _fields(plain[1])
+            got = plain[1].sim
+            assert repr(got.timings) == repr(sim.timings)
+            assert repr((got.makespan, got.resource_busy,
+                         got.resource_span)) == \
+                repr((sim.makespan, sim.resource_busy, sim.resource_span))
+
+            costs = trainer_sim.block_costs(plan.blocks, cost, hierarchy,
+                                            plan.placements)
+            skeleton = compile_skeleton(plan, costs)
+            assert skeleton == ref.compile_skeleton(plan, costs)
+            key = plan_structure_key(plan, costs)
+            assert key == ref.plan_structure_key(plan, costs)
+            assert _rows(cache._skeletons[key]) == skeleton
+
+
+@given(policies=st.lists(st.sampled_from(POLICIES), min_size=1,
+                         max_size=10),
+       prefetch=st.sampled_from(("eager", "one_ahead", "none")),
+       tiers=st.lists(st.sampled_from((None, 1, 2, 3)), min_size=10,
+                      max_size=10))
+def test_stages_emit_tiers_like_the_second_pass(policies, prefetch, tiers):
+    placements = {b: t for b, t in enumerate(tiers[:len(policies)])
+                  if t is not None and policies[b] is S}
+    untiered, checkpoints = generate_stages(policies, prefetch)
+    stages, same = generate_stages(policies, prefetch, placements)
+    assert same == checkpoints
+    assert stages == ref._qualify_tiers(untiered, placements)
+    assert [s.label() for s in stages] == \
+        [s.label() for s in ref._qualify_tiers(untiered, placements)]
+
+
+def _mutate(draw, plan: ExecutionPlan) -> ExecutionPlan:
+    """One random structural edit of a valid plan."""
+    stages = list(plan.stages)
+    placements = dict(plan.placements)
+    policies = list(plan.policies)
+    checkpoints = dict(plan.checkpoints)
+    n, m = plan.num_blocks, len(stages)
+    edit = draw(st.sampled_from(("swap", "drop", "retier", "place",
+                                 "qualify", "policy", "gpu", "checkpoint")))
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    if edit == "swap":
+        stages[i], stages[j] = stages[j], stages[i]
+    elif edit == "drop":
+        del stages[i]
+    elif edit in ("retier", "qualify"):
+        ops = list(stages[i].ops)
+        k = draw(st.integers(0, len(ops) - 1))
+        tier = draw(st.sampled_from((None, 0, 1, 2, 3)))
+        src = draw(st.booleans())
+        ops[k] = dataclasses.replace(
+            ops[k], **{"src_tier" if src else "dst_tier": tier})
+        stages[i] = Stage(tuple(ops))
+    elif edit == "place":
+        placements[draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from((0, 1, 2)))
+    elif edit == "policy":
+        policies[draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from(POLICIES))
+    elif edit == "gpu":
+        b = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from((OpKind.FORWARD, OpKind.BACKWARD,
+                                     OpKind.RECOMPUTE, OpKind.SWAP_IN)))
+        stages[i] = Stage(stages[i].ops + (Op(kind, b),))
+    else:
+        checkpoints[draw(st.integers(0, n - 1))] = \
+            draw(st.integers(-1, n))
+    return dataclasses.replace(plan, stages=tuple(stages),
+                               placements=placements,
+                               policies=tuple(policies),
+                               checkpoints=checkpoints)
+
+
+@given(data=st.data())
+def test_validate_matches_reference(data):
+    graph, _ = _context("cnn")
+    k = data.draw(st.integers(1, 6))
+    policies = data.draw(st.lists(st.sampled_from(POLICIES), min_size=k,
+                                  max_size=k))
+    placements = {b: data.draw(st.sampled_from((1, 2)))
+                  for b, p in enumerate(policies) if p is S}
+    plan = make_plan(graph.name, 8, _partition(data.draw, len(graph), k),
+                     policies, placements=placements)
+    for _ in range(data.draw(st.integers(1, 3))):
+        plan = _mutate(data.draw, plan)
+    assert _outcome(plan.validate) == _outcome(lambda: ref.validate(plan))

@@ -8,6 +8,7 @@ sim-vs-real validation error beyond measurement jitter.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -199,6 +200,24 @@ class TestArtifact:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="schema version"):
             CalibrationArtifact.load(path)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf,
+                                       0.0, -1.0])
+    def test_bad_op_scale_rejected(self, tmp_path, scale, capsys):
+        """The artifact boundary applies fit_op_scales' own rule, so
+        ``validate --calibration`` refuses the file with exit code 2."""
+        from repro.cli import main
+
+        payload = self._artifact().to_json()
+        payload["op_scales"]["b"] = scale
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="'b'"):
+            CalibrationArtifact.load(path)
+        assert main(["validate", "--config", "cnn",
+                     "--calibration", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read calibration artifact" in err and "'b'" in err
 
     def test_merge_unions_scales_and_pools_links(self):
         a = self._artifact()
