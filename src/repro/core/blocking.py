@@ -402,7 +402,8 @@ class CandidateEvaluator:
             self.memo_hits += 1
         else:  # a ValueError from make_plan propagates un-memoized
             plan = make_plan(self.model_name, self.batch_size, blocks,
-                             policies, placements=placements)
+                             policies, placements=placements,
+                             lowering=self.lowering)
             try:
                 priced = simulate_plan(plan, self.cost, self.capacity,
                                        hierarchy=self.hierarchy,

@@ -372,7 +372,7 @@ def plan(graph: LayerGraph, batch_size: int, *,
                                              placement, search_time))
 
     final = make_plan(graph.name, batch_size, blocking.blocks, policies,
-                      placements=placements)
+                      placements=placements, lowering=lowering)
     if TRACER.enabled:
         TRACER.record("plan", "planner", start=t_plan, end=TRACER.clock(),
                       model=graph.name, batch=batch_size,

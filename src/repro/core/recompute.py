@@ -132,7 +132,7 @@ def apply_recompute(graph: LayerGraph, cost: CostModel, capacity: float,
     def simulate(pols: Sequence[BlockPolicy]) -> float:
         try:
             plan = make_plan(model_name, batch_size, blocks, pols,
-                             placements=place(pols))
+                             placements=place(pols), lowering=lowering)
             return simulate_plan(plan, cost, capacity, hierarchy=hierarchy,
                                  cache=lowering).makespan
         except (OutOfCoreInfeasible, ValueError):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..graph.layer_graph import LayerGraph
@@ -68,6 +69,12 @@ class BlockPolicy(Enum):
     # gradient-checkpointing semantics: drop the interior stash but retain
     # the block's output boundary as the next block's recompute source
     CHECKPOINTED = "checkpointed"
+
+    # members are singletons compared by identity, so the identity hash
+    # agrees with equality; it runs at C speed, where ``Enum.__hash__``
+    # is a Python call per element of every policy tuple the search's
+    # caches key on
+    __hash__ = object.__hash__
 
 
 #: Placement tier of a stash when the plan does not say otherwise: host
@@ -150,6 +157,36 @@ class Stage:
         return len(self.ops)
 
 
+#: An op's (kind value, block, src tier, dst tier), read at C speed:
+#: ``_value_`` is the plain attribute behind the ``Enum.value`` descriptor.
+_op_signature = attrgetter("kind._value_", "block", "src_tier", "dst_tier")
+
+
+class Stages(tuple):
+    """A plan's stage launch schedule, carrying what is a pure function of
+    it so that plans sharing one schedule object pay for it once (the
+    blocking search's lowering cache hands every candidate with the same
+    policies and placements the same one):
+
+    * ``signature`` — every op as an atomic (kind value, block, src tier,
+      dst tier) tuple, stage by stage, computed on first use;
+    * ``walked`` — the (policies, placements) that
+      :meth:`ExecutionPlan.validate`'s stage walk last passed for.  The
+      walk reads nothing else, so a plan with equal policies and
+      placements skips it; a plan with any other inputs walks again.
+    """
+
+    walked: Optional[Tuple[Tuple[BlockPolicy, ...], Dict[int, int]]] = None
+    _signature: Optional[Tuple[Tuple[Tuple, ...], ...]] = None
+
+    @property
+    def signature(self) -> Tuple[Tuple[Tuple, ...], ...]:
+        if self._signature is None:
+            self._signature = tuple(tuple(map(_op_signature, stage.ops))
+                                    for stage in self)
+        return self._signature
+
+
 class PlanValidationError(ValueError):
     """Raised when an execution plan violates dependency or policy rules."""
 
@@ -173,6 +210,10 @@ class ExecutionPlan:
     stages: Tuple[Stage, ...]
     checkpoints: Dict[int, int] = field(default_factory=dict)
     placements: Dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.stages, Stages):
+            object.__setattr__(self, "stages", Stages(self.stages))
 
     # -- derived sets ---------------------------------------------------------
 
@@ -234,7 +275,9 @@ class ExecutionPlan:
 
         Verifies the block partition (contiguous, covering ``graph`` when
         given), checkpoint sources, tier placements, and the stage launch
-        order's dependency sanity.
+        order's dependency sanity.  The stage walk is skipped when this
+        schedule object already passed it with these policies and
+        placements (see :class:`Stages`); every other check runs per plan.
         """
         n = self.num_blocks
         if n == 0:
@@ -276,7 +319,11 @@ class ExecutionPlan:
                 raise PlanValidationError(
                     f"block {b} placed in tier {tier}; stashes must leave "
                     "the device tier (tier >= 1)")
-        self._validate_stages(recomputed)
+        walked = self.stages.walked
+        if walked is None or walked[0] != policies \
+                or walked[1] != self.placements:
+            self._validate_stages(recomputed)
+            self.stages.walked = (policies, dict(self.placements))
 
     def _validate_stages(self, recomputed: FrozenSet[int]) -> None:
         """One walk over the launch schedule.

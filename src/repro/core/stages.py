@@ -23,9 +23,12 @@ and always form chains of length one.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .schedule import BlockPolicy, ExecutionPlan, Op, OpKind, Stage
+from .schedule import BlockPolicy, ExecutionPlan, Op, OpKind, Stage, Stages
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from ..sim.trainer_sim import LoweringCache
 
 _RECOMPUTE_LIKE = (BlockPolicy.RECOMPUTED, BlockPolicy.CHECKPOINTED)
 
@@ -46,7 +49,7 @@ def _checkpoint_of(block: int, policies: Sequence[BlockPolicy]) -> int:
 def generate_stages(policies: Sequence[BlockPolicy],
                     prefetch: str = "eager",
                     placements: Optional[Mapping[int, int]] = None
-                    ) -> Tuple[Tuple[Stage, ...], Dict[int, int]]:
+                    ) -> Tuple[Stages, Dict[int, int]]:
     """Build the stage launch schedule for one iteration (Algorithm 1).
 
     ``placements`` (swapped block -> stash tier) tier-qualifies the swap
@@ -156,14 +159,15 @@ def generate_stages(policies: Sequence[BlockPolicy],
         # prefetch == "none": swap-ins only attach at their point of use
         stages.append(Stage(tuple(ops)))
 
-    return tuple(stages), checkpoints
+    return Stages(stages), checkpoints
 
 
 def make_plan(model_name: str, batch_size: int,
               blocks: Sequence[Tuple[int, int]],
               policies: Sequence[BlockPolicy],
               prefetch: str = "eager",
-              placements: Optional[Mapping[int, int]] = None
+              placements: Optional[Mapping[int, int]] = None,
+              lowering: "Optional[LoweringCache]" = None
               ) -> ExecutionPlan:
     """Assemble a validated :class:`ExecutionPlan` from blocks + policies.
 
@@ -171,16 +175,31 @@ def make_plan(model_name: str, batch_size: int,
     2 = NVMe); omitted blocks default to DRAM.  The stage schedule itself
     is tier-agnostic — tiers only change which link a swap occupies and how
     long it takes, not when it is launched.
+
+    ``lowering`` is the search's
+    :class:`~repro.sim.trainer_sim.LoweringCache`: an eager schedule is
+    generated once per (policies, placements) and shared by every plan
+    built from them, so their validations walk it once.  Only a schedule
+    whose plan validated is kept, so an illegal one raises on every build.
     """
     placements = {int(b): int(t) for b, t in (placements or {}).items()}
-    stages, checkpoints = generate_stages(policies, prefetch=prefetch,
-                                          placements=placements)
+    policies = tuple(policies)
+    key = (policies, tuple(sorted(placements.items())))
+    shared = lowering is not None and prefetch == "eager"
+    built = lowering.schedule(key) if shared else None
+    fresh = built is None
+    if fresh:
+        built = generate_stages(policies, prefetch=prefetch,
+                                placements=placements)
+    stages, checkpoints = built
     plan = ExecutionPlan(
         model_name=model_name, batch_size=batch_size,
         blocks=tuple((int(s), int(e)) for s, e in blocks),
-        policies=tuple(policies), stages=stages,
+        policies=policies, stages=stages,
         checkpoints=dict(checkpoints),
         placements=placements,
     )
     plan.validate()
+    if shared and fresh:
+        lowering.store_schedule(key, built)
     return plan

@@ -29,12 +29,13 @@ it is built to be *fast*, not just correct:
   :mod:`repro.sim.reference_engine` are a hard invariant) but visit only
   resources whose blocking condition may have changed since the last
   visit;
-* the :class:`_MemoryLedger` is **incremental**: the event timeline lives
-  in sorted parallel arrays with a lazily repaired prefix-usage /
-  suffix-maximum pair, so ``record`` is an :math:`O(\\log n)` bisect plus
-  a (C-speed) insert and ``earliest_fit`` is an :math:`O(\\log n)` binary
-  search after an amortized-:math:`O(1)` repair — the seed engine rebuilt
-  both arrays from scratch on *every* acquire.
+* the :class:`_MemoryLedger` keeps the event timeline in two sorted
+  parallel arrays plus a running total: ``record`` is an
+  :math:`O(\\log n)` bisect plus a (C-speed) insert, and ``earliest_fit``
+  walks back from the last event only as far as ``not_before`` — a few
+  events, since fits land near the schedule frontier — where the seed
+  engine rebuilt prefix usages and suffix maxima from scratch on *every*
+  acquire.
 
 The engine is fully deterministic (no randomness, no wall clock); one
 training iteration of a 64-block plan is a few hundred events, and the
@@ -268,44 +269,34 @@ class ScheduleBuilder:
 # ---------------------------------------------------------------------------
 
 class _MemoryLedger:
-    """Incremental capacity ledger over scheduled acquire/release events.
+    """Capacity ledger over scheduled acquire/release events.
 
     An op may hold bytes across a window that *other* ops close (e.g. a
     forward op acquires a stash that the matching backward op releases), so
     fitting a new acquire at time ``t`` must respect every already-scheduled
-    usage peak at or after ``t`` — a suffix-maximum query over the event
-    timeline.  Conservative by construction: an acquire is only placed where
-    it can never retroactively oversubscribe the capacity.
+    usage peak at or after ``t``.  Conservative by construction: an acquire
+    is only placed where it can never retroactively oversubscribe the
+    capacity.
 
-    State is four parallel arrays over *unique* event times:
-
-    * ``_times``  — sorted event times;
-    * ``_deltas`` — net byte delta at each time (same-instant events merge);
-    * ``_cums``   — prefix sums of ``_deltas`` (usage right after event i);
-    * ``_sufmax`` — ``max(_cums[i:], 0)``, one sentinel convention: index
-      ``n`` holds 0 (usage after the last event never blocks a fit, and a
-      budget is never negative, so clamping at 0 is decision-equivalent to
-      the true suffix maximum).
-
-    ``record`` merges or bisect-inserts and marks the arrays dirty from
-    the touched index; ``earliest_fit`` repairs lazily — forward from the
-    dirty index for ``_cums``, backward with early termination for
-    ``_sufmax`` — then answers with one binary search over the
-    non-increasing ``_sufmax``.  Events land at or near the schedule
-    frontier, so repairs touch an amortized O(1) suffix of the arrays.
+    State is two parallel arrays over *unique* event times — ``_times``
+    (sorted) and ``_deltas`` (net bytes at each time; same-instant events
+    merge) — plus ``total``, the usage after the last event.  ``record``
+    is a bisect plus at most two inserts.  ``earliest_fit`` walks back
+    from the last event to ``not_before``, reading the usage after each
+    event as ``total`` minus the deltas walked: the last event over
+    budget decides the answer (fit at the next event, or None), and when
+    none is over budget the usage at ``not_before`` does.  Events land at
+    or near the schedule frontier, so a fit reads a few events, not the
+    timeline.
     """
 
-    __slots__ = ("capacity", "repairs", "_times", "_deltas", "_cums",
-                 "_sufmax", "_dirty")
+    __slots__ = ("capacity", "total", "_times", "_deltas")
 
     def __init__(self, capacity: Optional[int]):
         self.capacity = capacity
-        self.repairs = 0                # lazy-repair count (observability)
+        self.total = 0
         self._times: List[float] = []
         self._deltas: List[int] = []
-        self._cums: List[int] = []
-        self._sufmax: List[int] = [0]   # index n sentinel
-        self._dirty = 0                 # arrays valid on [0, _dirty)
 
     def record(self, time: float, delta: int) -> None:
         if self.capacity is None or delta == 0:
@@ -317,36 +308,7 @@ class _MemoryLedger:
         else:
             times.insert(i, time)
             self._deltas.insert(i, delta)
-            self._cums.insert(i, 0)
-            self._sufmax.insert(i, 0)
-        if i < self._dirty:
-            self._dirty = i
-
-    def _repair(self) -> None:
-        self.repairs += 1
-        n = len(self._times)
-        i = self._dirty
-        cums, deltas, sufmax = self._cums, self._deltas, self._sufmax
-        run = cums[i - 1] if i > 0 else 0
-        for j in range(i, n):
-            run += deltas[j]
-            cums[j] = run
-        peak = 0                        # sufmax[n] sentinel
-        for j in range(n - 1, i - 1, -1):
-            c = cums[j]
-            if c > peak:
-                peak = c
-            sufmax[j] = peak
-        # propagate below the dirty point until a value is unchanged
-        # (sufmax[j] = max(cums[j], sufmax[j+1]) and cums[<i] are intact)
-        for j in range(i - 1, -1, -1):
-            c = cums[j]
-            v = c if c > peak else peak
-            if v == sufmax[j]:
-                break
-            sufmax[j] = v
-            peak = v
-        self._dirty = n
+        self.total += delta
 
     def earliest_fit(self, need: int, not_before: float) -> Optional[float]:
         """Earliest t >= not_before such that usage(t') + need <= capacity
@@ -361,32 +323,22 @@ class _MemoryLedger:
             raise SimulationDeadlock(
                 f"op needs {need} B > ledger capacity {self.capacity} B")
         times = self._times
-        n = len(times)
-        if n == 0:
-            return not_before
-        if self._dirty < n:
-            self._repair()
-        cums, sufmax = self._cums, self._sufmax
+        deltas = self._deltas
         budget = self.capacity - need
         i0 = bisect_right(times, not_before)
-        usage_at = cums[i0 - 1] if i0 > 0 else 0
-        if usage_at <= budget and sufmax[i0] <= budget:
+        usage = self.total
+        i = len(times) - 1
+        while i >= i0:
+            if usage > budget:
+                # the last event over budget: room opens at the next one
+                return times[i + 1] if i + 1 < len(times) else None
+            usage -= deltas[i]
+            i -= 1
+        # usage is now what holds at not_before; every later event fits,
+        # so only it can block (it holds until the first later event)
+        if usage <= budget:
             return not_before
-        # otherwise advance to the first later event time whose suffix
-        # peak fits (releases shrink peaks; sufmax is non-increasing, so
-        # the frontier is a plain binary search)
-        lo, hi = i0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sufmax[mid] <= budget:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo < n:
-            return max(not_before, times[lo])
-        # cannot fit against the *currently scheduled* events; the caller
-        # may retry after more releases are scheduled
-        return None
+        return times[i0] if i0 < len(times) else None
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +608,10 @@ def _simulate_ledgered(schedule: Schedule, durations: Sequence[float],
                         break  # defer: future releases may open room
                     start = fit
                 finish = start + durations[i]
-                record(start, acquire)
-                record(finish, -releases[i])
+                if acquire:
+                    record(start, acquire)
+                if releases[i]:
+                    record(finish, -releases[i])
                 starts[i] = start
                 readies[i] = ready
                 finishes[i] = finish
@@ -685,7 +639,6 @@ def _simulate_ledgered(schedule: Schedule, durations: Sequence[float],
     if stats is not None:
         stats["events"] = n
         stats["ledger_events"] = len(ledger._times)
-        stats["ledger_repairs"] = ledger.repairs
     return starts, finishes, readies
 
 
@@ -753,7 +706,7 @@ def _simulate_instrumented(schedule: Schedule, durations: Sequence[float],
                            memory_capacity: Optional[int]) -> Times:
     """Tracing-enabled twin of the :func:`run_schedule` dispatch:
     identical timings, plus a span and engine-stat metrics (events
-    processed, ledger repairs, heap population peak)."""
+    processed, ledger events, heap population peak)."""
     stats: Dict[str, int] = {}
     path = "heap" if memory_capacity is None else "ledgered"
     with TRACER.span("sim.simulate", "sim", ops=schedule.n,
@@ -768,8 +721,7 @@ def _simulate_instrumented(schedule: Schedule, durations: Sequence[float],
     METRICS.counter("sim.events").inc(schedule.n)
     if "heap_peak" in stats:
         METRICS.histogram("sim.heap_peak").observe(stats["heap_peak"])
-    if "ledger_repairs" in stats:
-        METRICS.counter("sim.ledger_repairs").inc(stats["ledger_repairs"])
+    if "ledger_events" in stats:
         METRICS.histogram("sim.ledger_events").observe(
             stats["ledger_events"])
     return times

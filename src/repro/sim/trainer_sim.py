@@ -39,15 +39,16 @@ evaluation:
   folded from the resulting start/finish arrays.  :func:`bind_costs` is
   the same rule yielding a :class:`~repro.sim.engine.SimOp` list.
 
-A :class:`LoweringCache` memoizes that pipeline (block costs, ledger
-sizing, prepared skeletons, and each priced outcome) for one fixed
-``(cost model, capacity, hierarchy)`` planning context, so grid points
-that differ only in margin / placement policy — which very often lower
-to the same plan — are priced at dictionary-lookup cost, and boundary
-candidates that share a policy structure reuse the prepared skeleton
-with re-bound durations, building no per-op object.  It holds scalars,
-atomic keys and int tuples, never an exception, a ``SimResult`` or a
-plan, so a search leaves no cyclic garbage for the collector to walk.
+A :class:`LoweringCache` memoizes that pipeline (stage schedules, block
+costs, ledger sizing, prepared skeletons, and each priced outcome) for
+one fixed ``(cost model, capacity, hierarchy)`` planning context, so grid
+points that differ only in margin / placement policy — which very often
+lower to the same plan — are priced at dictionary-lookup cost, and
+boundary candidates that share a policy structure reuse the prepared
+skeleton with re-bound durations, building no per-op object.  Apart from
+one immutable stage schedule per policy vector, it holds scalars, atomic
+keys and int tuples, never an exception, a ``SimResult`` or a plan, so a
+search leaves no cyclic garbage for the collector to walk.
 """
 
 from __future__ import annotations
@@ -55,10 +56,15 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.schedule import BlockPolicy, ExecutionPlan, OpKind, Resource
+from ..core.schedule import (
+    BlockPolicy,
+    ExecutionPlan,
+    OpKind,
+    Resource,
+    Stages,
+)
 from ..costs.profiler import CostModel
 from ..hardware.tiering import MemoryHierarchy
 from .engine import (
@@ -233,11 +239,6 @@ _Lowered = Tuple[Tuple[int, ...], Tuple[int, ...], Schedule]
 _Bound = Tuple[List[float], List[int], List[int]]
 
 
-#: An op's (kind value, block, src tier, dst tier), read at C speed:
-#: ``_value_`` is the plain attribute behind the ``Enum.value`` descriptor.
-_op_signature = attrgetter("kind._value_", "block", "src_tier", "dst_tier")
-
-
 def plan_structure_key(plan: ExecutionPlan, costs: BlockCosts,
                        prefetch_lookahead: int = 3) -> Tuple:
     """Hashable key capturing everything :func:`compile_skeleton` reads.
@@ -246,10 +247,11 @@ def plan_structure_key(plan: ExecutionPlan, costs: BlockCosts,
     block boundaries (and therefore durations and byte counts) differ —
     that is the reuse the blocking search's lowering cache exploits.  Ops
     key on their kind's value string so the tuples stay atomic (the GC
-    untracks them).
+    untracks them).  The stage part is the schedule's carried
+    :attr:`~repro.core.schedule.Stages.signature`, so plans sharing one
+    schedule derive it once.
     """
-    stage_sig = tuple(tuple(map(_op_signature, stage.ops))
-                      for stage in plan.stages)
+    stage_sig = plan.stages.signature
     placements = plan.placements
     placements_sig = tuple(sorted(placements.items()))
     chained_out = frozenset(b for b, tier in placements.items()
@@ -483,7 +485,12 @@ class LoweringCache:
       engine's :class:`~repro.sim.engine.Schedule`) per structure key, so
       a new boundary vector only re-binds durations / byte counts;
     * ``costs`` / ``ledgers`` — :func:`block_costs` per (partition,
-      storage-placed blocks) and the stash-ledger sizing per partition.
+      storage-placed blocks) and the stash-ledger sizing per partition;
+    * ``schedules`` — :func:`~repro.core.stages.make_plan`'s eager stage
+      schedule and checkpoints per (policies, placements), kept once a
+      plan built from them validated: candidates that share a policy
+      vector share one immutable :class:`~repro.core.schedule.Stages`,
+      which carries its stage signature and validation walk.
 
     Layers hold scalars and atomic keys; an infeasible outcome is kept as
     its message and re-raised fresh, never as the exception (whose
@@ -508,6 +515,8 @@ class LoweringCache:
             OrderedDict()
         self._results: "OrderedDict[Tuple, Union[_Timing, str]]" = \
             OrderedDict()
+        self._schedules: "OrderedDict[Tuple, Tuple[Stages, Dict[int, int]]]" \
+            = OrderedDict()
         self._workspace: Dict[Tuple[int, int], int] = {}
         self.hits = 0            # result-level hits (sim fully skipped)
         self.misses = 0          # result-level misses (sim actually ran)
@@ -593,6 +602,15 @@ class LoweringCache:
         else:
             self.skeleton_hits += 1
         return lowered  # type: ignore[return-value]
+
+    def schedule(self, key: Tuple) -> Optional[Tuple[Stages, Dict[int, int]]]:
+        """The (stages, checkpoints) kept for a (policies, placements)
+        key, or None."""
+        return self._get(self._schedules, key)  # type: ignore[return-value]
+
+    def store_schedule(self, key: Tuple,
+                       value: Tuple[Stages, Dict[int, int]]) -> None:
+        self._put(self._schedules, key, value, self.max_entries)
 
     def result(self, key: Tuple) -> Optional[Union[_Timing, str]]:
         return self._get(self._results, key)  # type: ignore[return-value]

@@ -28,6 +28,9 @@ from repro.sim import (
     simulate_plan,
     simulate_reference,
 )
+from repro.sim.engine import _MemoryLedger
+from repro.sim.reference_engine import _ReferenceMemoryLedger
+from tests._schedule_invariants import schedule_violations
 
 R, S, C, K = (BlockPolicy.RESIDENT, BlockPolicy.SWAPPED,
               BlockPolicy.RECOMPUTED, BlockPolicy.CHECKPOINTED)
@@ -37,7 +40,8 @@ RESOURCES = ("gpu", "h2d", "d2h", "d2s", "s2d", "cpu")
 
 def assert_bit_identical(ops, capacity):
     """Engine and oracle agree exactly — timings, summaries, or the
-    deadlock.  Returns the engine's result (None when both deadlock)."""
+    deadlock — and the engine's schedule breaks no invariant.  Returns the
+    engine's result (None when both deadlock)."""
     try:
         ref = simulate_reference(ops, capacity)
     except SimulationDeadlock:
@@ -45,6 +49,7 @@ def assert_bit_identical(ops, capacity):
             simulate(ops, capacity)
         return None
     got = simulate(ops, capacity)
+    assert schedule_violations(ops, got, capacity) == []
     assert got.timings == ref.timings          # exact float equality
     assert got.makespan == ref.makespan
     assert got.resource_busy == ref.resource_busy
@@ -328,6 +333,63 @@ class TestRegistryPlanStreams:
         ops = self._compiled(name, platform, placements={0: 2},
                              hierarchy=hier)
         assert_bit_identical(ops, None)
+
+
+def _fit_both(events, capacity, need, not_before):
+    """``earliest_fit`` of the engine's ledger, held to the seed ledger's
+    answer over the same recorded events."""
+    ledger = _MemoryLedger(capacity)
+    ref = _ReferenceMemoryLedger(capacity)
+    for time, delta in events:
+        ledger.record(time, delta)
+        ref.record(time, delta)
+    got = ledger.earliest_fit(need, not_before)
+    assert got == ref.earliest_fit(need, not_before)
+    return got
+
+
+class TestLedgerEdgeCases:
+    """The walk-back fit at each of its exits, pinned to the seed ledger
+    (capacity 100, need 50: the budget is usage <= 50)."""
+
+    def test_fit_at_not_before(self):
+        assert _fit_both([(0.0, 30), (5.0, -30)], 100, 50, 2.0) == 2.0
+
+    def test_fit_after_last_over_budget_event(self):
+        # usage 10 at not_before fits, but the acquire at 3.0 would
+        # oversubscribe: room opens at the release after it
+        events = [(0.0, 10), (3.0, 60), (5.0, -20), (6.0, -50)]
+        assert _fit_both(events, 100, 50, 1.0) == 5.0
+        # usage at not_before is the only thing over budget
+        assert _fit_both([(0.0, 60), (4.0, -20)], 100, 50, 1.0) == 4.0
+
+    def test_none_when_last_event_over_budget(self):
+        assert _fit_both([(0.0, 10), (3.0, 80)], 100, 50, 1.0) is None
+
+    def test_none_past_every_event_with_usage_over_budget(self):
+        assert _fit_both([(0.0, 80)], 100, 50, 10.0) is None
+        assert _fit_both([(0.0, 80), (2.0, -10)], 100, 50, 2.0) is None
+
+    def test_same_instant_acquire_and_release_net_to_zero(self):
+        events = [(0.0, 40), (2.0, 30), (2.0, -30)]
+        assert _fit_both(events, 100, 60, 2.0) == 2.0
+        assert _fit_both(events, 100, 61, 1.0) is None
+        ledger = _MemoryLedger(100)
+        for time, delta in events:
+            ledger.record(time, delta)
+        assert ledger._times == [0.0, 2.0] and ledger.total == 40
+
+    def test_empty_ledger_and_zero_need(self):
+        assert _fit_both([], 100, 50, 3.0) == 3.0
+        assert _fit_both([(0.0, 100)], 100, 0, 3.0) == 3.0
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.5]),
+                              st.integers(-120, 120)), max_size=30),
+           st.integers(1, 100),
+           st.sampled_from([0.0, 0.25, 1.0, 2.0, 4.0, 9.0]))
+    @settings(deadline=None)
+    def test_property_matches_seed_ledger(self, events, need, not_before):
+        _fit_both(events, 100, need, not_before)
 
 
 class TestScheduleBuilder:
