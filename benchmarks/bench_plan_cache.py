@@ -1,4 +1,4 @@
-"""Planning-service benchmarks: cold vs warm vs parallel planning.
+"""Planning-service benchmarks: cold vs warm planning, sweep, manifest.
 
 PR 1 made the blocking search combinatorial (boundaries x margins x
 placement policies), so planning is the hot path between a (model,
@@ -8,9 +8,9 @@ remedies the planning service layer provides:
 1. **warm cache** — replanning the ResNet-200 example configuration
    through the content-addressed plan cache must be >= 10x faster than
    the cold search (the acceptance bar; in practice it is 100-300x);
-2. **parallel sweep** — sharding the portfolio grid across processes
-   returns bit-identical results (asserted) at whatever speedup the
-   grid size affords (small grids are pool-bound; reported honestly);
+2. **portfolio sweep** — the ResNet-200 Opt-1 grid priced in one
+   process through one evaluator (its lowering cache amortizes grid
+   points that realize the same plan), timed;
 3. **parallel manifest** — planning independent configurations
    concurrently through the CLI service layer, the fleet-planning path.
 """
@@ -92,8 +92,8 @@ def test_warm_cache_speedup(benchmark, bench_writer, tmp_path):
     assert speedup_mem >= 10.0
 
 
-def test_parallel_sweep_identical_and_timed(bench_writer):
-    """The sharded portfolio sweep: bit-identical to serial, timed."""
+def test_portfolio_sweep_timed(bench_writer):
+    """The ResNet-200 Opt-1 portfolio sweep on a tiered hierarchy, timed."""
     graph = build("resnet200")
     device = v100_sxm2_16gb()
     transfer = TransferModel(link=karma_swap_link(), device=device,
@@ -114,23 +114,15 @@ def test_parallel_sweep_identical_and_timed(bench_writer):
     dims = ((0.5, 1.0, 2.0), ("bandwidth", "pressure"))
 
     t0 = time.perf_counter()
-    serial = portfolio_search(candidates, dims, evaluator, n_workers=1)
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    par = portfolio_search(candidates, dims, evaluator, n_workers=4)
-    par_s = time.perf_counter() - t0
+    sweep = portfolio_search(candidates, dims, evaluator)
+    sweep_s = time.perf_counter() - t0
 
-    assert par.best_candidate == serial.best_candidate
-    assert par.best_dims == serial.best_dims
-    assert par.best_value == serial.best_value
-    print(f"\nportfolio sweep ({serial.evaluated} grid points): "
-          f"serial {serial_s:.3f} s, 4 workers {par_s:.3f} s "
-          f"({serial_s / par_s:.2f}x)")
+    assert sweep.best_candidate is not None
+    print(f"\nportfolio sweep ({sweep.evaluated} grid points): "
+          f"{sweep_s:.3f} s")
     bench_writer.emit("plan_cache", {
-        "sweep.grid_points": serial.evaluated,
-        "sweep.serial_s": serial_s,
-        "sweep.parallel4_s": par_s,
-        "sweep.bit_identical": True,
+        "sweep.grid_points": sweep.evaluated,
+        "sweep.serial_s": sweep_s,
     })
 
 

@@ -39,8 +39,7 @@ def _merges() -> float:
 def test_hot_tier_latency(benchmark, bench_writer, tmp_path):
     """Hot-LRU hits through the daemon: the repeated-request fast path."""
     cache = PlanCache(cache_dir=tmp_path / "plans")
-    with PlannerDaemon(ServiceConfig(pool_workers=2),
-                       cache=cache) as daemon:
+    with PlannerDaemon(cache=cache) as daemon:
         t0 = time.perf_counter()
         cold = daemon.request(CONFIG)
         cold_s = time.perf_counter() - t0
@@ -65,10 +64,10 @@ def test_singleflight_merge_ratio(bench_writer):
     """K identical concurrent requests -> exactly one plan, K-1 merges."""
     K = 16
     gate = threading.Event()
-    calls: List[int] = []
+    calls: List[Dict[str, Any]] = []
 
-    def planner(config: Dict[str, Any], n: int) -> Dict[str, Any]:
-        calls.append(n)
+    def planner(config: Dict[str, Any]) -> Dict[str, Any]:
+        calls.append(config)
         assert gate.wait(30)
         return {"cache": "miss", **config}
 
@@ -107,7 +106,7 @@ def test_saturated_queue_throughput(bench_writer):
     """Sustained overload: completed rps stays up, overflow is shed."""
     work_s = 0.002
 
-    def planner(config: Dict[str, Any], n: int) -> Dict[str, Any]:
+    def planner(config: Dict[str, Any]) -> Dict[str, Any]:
         time.sleep(work_s)
         return {"cache": "miss", **config}
 

@@ -26,9 +26,8 @@ A manifest is a JSON list of configuration objects (or ``{"configs":
      {"model": "unet", "batch": 16}]
 
 With ``--workers N`` a manifest is planned N configurations at a time in
-separate processes (each full search is independent); a single
-configuration instead shards its portfolio sweep across N workers, which
-stays bit-identical to the serial sweep.
+separate processes (each full search is independent); one configuration
+is always planned in the calling process.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ def _resolve_transfer(link: str):
 def plan_config_full(config: Dict[str, Any], *,
                      cache_dir: Optional[str] = None,
                      use_cache: bool = True,
-                     n_workers: int = 1,
                      cache: Optional[Any] = None
                      ) -> "Tuple[Dict[str, Any], Any]":
     """Plan one configuration dict; returns ``(record, KarmaPlan)``.
@@ -121,7 +119,7 @@ def plan_config_full(config: Dict[str, Any], *,
               capacity=float(capacity) if capacity is not None else None,
               hierarchy=hierarchy,
               placement_policy=config.get("placement", "auto"),
-              cache=cache, n_workers=n_workers)
+              cache=cache)
     wall = time.perf_counter() - t0
     if cache is not None and owns_cache:
         cache.flush_session_stats()
@@ -163,8 +161,7 @@ def plan_config_full(config: Dict[str, Any], *,
 
 def plan_config(config: Dict[str, Any], *,
                 cache_dir: Optional[str] = None,
-                use_cache: bool = True,
-                n_workers: int = 1) -> Dict[str, Any]:
+                use_cache: bool = True) -> Dict[str, Any]:
     """Plan one configuration dict; returns a JSON-ready result record.
 
     This is the service call the CLI, examples, and benchmarks go
@@ -172,7 +169,7 @@ def plan_config(config: Dict[str, Any], *,
     fan out across processes.
     """
     record, _ = plan_config_full(config, cache_dir=cache_dir,
-                                 use_cache=use_cache, n_workers=n_workers)
+                                 use_cache=use_cache)
     return record
 
 
@@ -184,8 +181,7 @@ def _plan_config_task(task: Dict[str, Any]) -> Dict[str, Any]:
     """
     try:
         return plan_config(task["config"], cache_dir=task["cache_dir"],
-                           use_cache=task["use_cache"],
-                           n_workers=task.get("n_workers", 1))
+                           use_cache=task["use_cache"])
     except Exception as exc:  # noqa: BLE001 - surfaced in the result record
         return {"model": task["config"].get("model", "?"),
                 "batch": task["config"].get("batch", "?"),
@@ -387,8 +383,7 @@ def _run_plan(args: argparse.Namespace) -> int:
         TRACER.enable()
         try:
             record, kp = plan_config_full(
-                configs[0], cache_dir=args.cache_dir, use_cache=use_cache,
-                n_workers=workers)
+                configs[0], cache_dir=args.cache_dir, use_cache=use_cache)
             _, sim = _compiled_sim(kp,
                                    _resolve_hierarchy(args.hierarchy))
             spans = TRACER.drain()
@@ -420,12 +415,10 @@ def _run_plan(args: argparse.Namespace) -> int:
                                  mp_context=ctx) as pool:
             results = list(pool.map(_plan_config_task, tasks))
     else:
-        # single config (or serial manifest): the portfolio sweep inside
-        # each plan gets the workers instead of the manifest level
+        workers = 1
         results = [_plan_config_task(
             {"config": c, "cache_dir": args.cache_dir,
-             "use_cache": use_cache, "n_workers": workers})
-            for c in configs]
+             "use_cache": use_cache}) for c in configs]
     total = time.perf_counter() - t0
 
     if args.json:
@@ -470,6 +463,17 @@ def _run_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _service_config(args: argparse.Namespace):
+    """The :class:`~repro.service.daemon.ServiceConfig` ``serve`` flags
+    describe (their defaults are the config's own)."""
+    from .service.daemon import ServiceConfig
+
+    return ServiceConfig(queue_depth=args.queue_depth,
+                         service_workers=args.service_workers,
+                         default_deadline_s=args.deadline,
+                         hot_capacity=args.hot_capacity)
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     from .service.server import parse_address
 
@@ -485,7 +489,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     from .cache.plan_cache import PlanCache
     from .service.cluster import ClusterArbiter
-    from .service.daemon import PlannerDaemon, ServiceConfig
+    from .service.daemon import PlannerDaemon
     from .service.server import PlannerServer
 
     cache = None
@@ -496,27 +500,19 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.cluster != "none":
         cluster = ClusterArbiter(_resolve_hierarchy(args.cluster),
                                  n_devices=args.devices)
-    service_config = ServiceConfig(
-        queue_depth=args.queue_depth,
-        service_workers=args.service_workers,
-        pool_workers=args.pool_workers,
-        max_workers_per_request=args.max_request_workers,
-        default_deadline_s=args.deadline,
-        hot_capacity=args.hot_capacity)
     chaos = None
     if args.chaos_rate > 0 or args.chaos_first > 0:
         from .elastic.faults import ChaosMonkey
 
         chaos = ChaosMonkey(args.chaos_rate, seed=args.chaos_seed,
                             crash_first=args.chaos_first)
-    daemon = PlannerDaemon(service_config, cache=cache, cluster=cluster,
-                           chaos=chaos)
+    daemon = PlannerDaemon(_service_config(args), cache=cache,
+                           cluster=cluster, chaos=chaos)
     server = PlannerServer(daemon, address)
     daemon.start()
     print(f"planner daemon serving on {address} "
           f"(queue={args.queue_depth}, workers={args.service_workers}, "
-          f"pool={args.pool_workers}, cache "
-          f"{'off' if cache is None else 'on'}, cluster "
+          f"cache {'off' if cache is None else 'on'}, cluster "
           f"{args.cluster}"
           + (f", chaos rate={args.chaos_rate} first={args.chaos_first}"
              if chaos is not None else "")
@@ -785,8 +781,8 @@ def _trace_via_server(args: argparse.Namespace) -> int:
 
     Mints a fresh :class:`~repro.obs.trace.TraceContext`, plans through
     a running daemon with span collection, and stitches the local client
-    span together with the daemon/worker spans shipped back in the reply
-    into one multi-process Chrome trace timeline.
+    span together with the daemon spans shipped back in the reply into
+    one multi-process Chrome trace timeline.
     """
     from .models.registry import REGISTRY
     from .obs.export import (
@@ -939,8 +935,7 @@ def _render_top(frame: Dict[str, Any], *, seq: int, addr: str) -> str:
         + ("" if frame.get("running") else "  [NOT RUNNING]"),
         f"  queue      : {frame.get('queue_depth', 0)}/"
         f"{frame.get('queue_capacity', 0)} deep   "
-        f"workers {frame.get('workers_free', 0)}/"
-        f"{frame.get('pool_workers', 0)} free",
+        f"{frame.get('service_workers', 0)} service worker(s)",
         f"  hot tier   : {frame.get('hot_entries', 0)}/"
         f"{frame.get('hot_capacity', 0)} entries   hit ratio "
         f"{_hit_ratio(c.get('service.plans.hot', 0), requests)} hot / "
@@ -1006,6 +1001,9 @@ def _run_top(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .service.daemon import ServiceConfig
+
+    service_defaults = ServiceConfig()
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="KARMA planning service: plan models against memory "
@@ -1032,8 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-recompute", action="store_true",
                    help="skip the Opt-2 recompute interleave")
     p.add_argument("--workers", type=int, default=1,
-                   help="process workers: shards the portfolio sweep "
-                        "(single config) or the manifest (batch)")
+                   help="with --manifest: plan this many configs at a "
+                        "time in separate processes")
     p.add_argument("--cache-dir", default=None,
                    help="plan cache directory (default: "
                         "$KARMA_PLAN_CACHE_DIR or "
@@ -1077,19 +1075,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "the daemon to come up")
     s.add_argument("--stop", action="store_true",
                    help="client mode: ask a running daemon to shut down")
-    s.add_argument("--queue-depth", type=int, default=16,
+    s.add_argument("--queue-depth", type=int,
+                   default=service_defaults.queue_depth,
                    help="admission bound; beyond it requests are shed "
                         "with queue_full")
-    s.add_argument("--service-workers", type=int, default=2,
-                   help="daemon threads consuming the request queue")
-    s.add_argument("--pool-workers", type=int, default=4,
-                   help="planner workers shared by all in-flight "
-                        "requests")
-    s.add_argument("--max-request-workers", type=int, default=2,
-                   help="cap on workers any single request may lease")
-    s.add_argument("--deadline", type=float, default=None,
+    s.add_argument("--service-workers", type=int,
+                   default=service_defaults.service_workers,
+                   help="daemon threads consuming the request queue; "
+                        "each plans one request at a time")
+    s.add_argument("--deadline", type=float,
+                   default=service_defaults.default_deadline_s,
                    help="default per-request deadline in seconds")
-    s.add_argument("--hot-capacity", type=int, default=128,
+    s.add_argument("--hot-capacity", type=int,
+                   default=service_defaults.hot_capacity,
                    help="entries kept in the in-process hot LRU tier")
     s.add_argument("--cluster", choices=HIERARCHIES, default="none",
                    help="enable collocation-aware placement on this "
@@ -1238,8 +1236,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "('-' for stdout)")
     t.add_argument("--server", metavar="ADDR", default=None,
                    help="distributed mode: plan via a running daemon "
-                        "('serve') and stitch the client, daemon, and "
-                        "pool-worker spans into one timeline "
+                        "('serve') and stitch the client and daemon "
+                        "spans into one timeline "
                         "(registered-model configs)")
     t.add_argument("--deadline", type=float, default=None,
                    help="with --server: seconds to wait before the "

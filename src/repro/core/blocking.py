@@ -441,7 +441,6 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
                    aco_config: Optional[AcoConfig] = None,
                    hierarchy: Optional[MemoryHierarchy] = None,
                    placement_policy: str = "auto",
-                   n_workers: int = 1,
                    lowering: "Optional[LoweringCache]" = None
                    ) -> BlockingResult:
     """Run Opt-1 end to end and return the best blocking found.
@@ -470,9 +469,6 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
             and surfaced in ``result.rejected``.
         placement_policy: ``'bandwidth'`` / ``'pressure'``, or ``'auto'``
             to try both.
-        n_workers: shard the portfolio sweep across a process pool; the
-            result is bit-identical to the serial sweep (deterministic
-            ``(value, index)`` tie-breaking in :func:`portfolio_search`).
         lowering: share one :class:`~repro.sim.trainer_sim.LoweringCache`
             between this search and the caller's other pricing passes
             (the planner hands the same cache to Opt-2, whose trial plans
@@ -534,7 +530,7 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
             u, max(2, int(math.ceil(2 * overflow)))))
 
     sweep = portfolio_search(
-        candidates, (margins, ppolicies), evaluator, n_workers=n_workers,
+        candidates, (margins, ppolicies), evaluator,
         reject_on=(OutOfCoreInfeasible, PlacementError, ValueError))
     best_bounds, best_dims, best_value = sweep
     rejected = tuple(f"{r.error_type}: {r.reason}" for r in sweep.rejected)

@@ -12,8 +12,9 @@ the planning *service*: pass ``cache=PlanCache(...)`` and the search
 outcome (steps 3-4, the expensive part) is stored under a content address
 of the planning inputs, so replanning the same (model, hardware, knobs)
 configuration — in this process or any later one — skips the search
-entirely, and ``n_workers > 1`` shards the portfolio sweep across
-processes with results bit-identical to the serial sweep.
+entirely.  The search runs in the calling process; callers that plan
+many configurations parallelize across requests, not inside one
+(``repro plan --manifest --workers N``).
 """
 
 from __future__ import annotations
@@ -220,7 +221,6 @@ def plan(graph: LayerGraph, batch_size: int, *,
          hierarchy: Optional[MemoryHierarchy] = None,
          placement_policy: str = "auto",
          cache: "Optional[PlanCache]" = None,
-         n_workers: int = 1,
          calibration: Optional[Dict[str, float]] = None) -> KarmaPlan:
     """Derive a KARMA execution plan for ``graph`` at ``batch_size``.
 
@@ -261,8 +261,6 @@ def plan(graph: LayerGraph, batch_size: int, *,
             content-address hit the cached Opt-1/Opt-2 decisions are
             replayed and the returned plan is identical to a cold
             search's.
-        n_workers: shard the portfolio sweep across this many processes
-            (bit-identical to the serial sweep).
         calibration: per-layer compute scale factors (layer name ->
             multiplier on the analytic forward/backward times), typically
             the ``op_scales`` of a trace-fitted
@@ -331,7 +329,7 @@ def plan(graph: LayerGraph, batch_size: int, *,
                                   batch_size, method=method,
                                   max_span=max_span, hierarchy=hierarchy,
                                   placement_policy=placement_policy,
-                                  n_workers=n_workers, lowering=lowering)
+                                  lowering=lowering)
         sp.set(method=blocking.method, blocks=len(blocking.blocks),
                evaluated=blocking.evaluated,
                rejected=len(blocking.rejected))

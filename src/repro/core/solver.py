@@ -27,15 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import pickle
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -47,7 +42,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from ..obs.metrics import METRICS
-from ..obs.trace import TRACER, TraceContext, span_to_dict
+from ..obs.trace import TRACER
 
 #: Version of the search semantics.  Bump whenever a change to the solver
 #: suite (objective, candidate portfolio, tie-breaking, placement sweep)
@@ -373,7 +368,7 @@ class PortfolioResult:
     best_value: float
     evaluated: int = 0
     rejected: List[RejectedCandidate] = field(default_factory=list)
-    n_workers: int = 1
+    n_workers: int = 1              # the sweep is serial; always 1
 
     def __iter__(self):
         return iter((self.best_candidate, self.best_dims, self.best_value))
@@ -392,72 +387,9 @@ def _score(evaluate: Callable[..., float],
     return index, value, None
 
 
-# Per-process state for portfolio workers: the evaluator travels once per
-# worker (pool initializer), not once per task — the evaluator carries the
-# whole cost model, and re-pickling it for every grid point dominated the
-# sweep at ResNet-1001 scale.  When the sweep is traced, the initializer
-# also adopts the request's TraceContext and attaches a per-worker span
-# collector ("sink") so shards ship their spans back with each result.
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _init_portfolio_worker(evaluate: Callable[..., float],
-                           reject_on: Tuple[Type[BaseException], ...],
-                           trace: Optional[TraceContext] = None) -> None:
-    _WORKER_STATE["evaluate"] = evaluate
-    _WORKER_STATE["reject_on"] = reject_on
-    if trace is not None:
-        TRACER.adopt_context(trace)
-        _WORKER_STATE["sink"] = TRACER.attach_collector(trace.trace_id)
-        _WORKER_STATE["proc"] = f"worker-{os.getpid()}"
-
-
-def _score_combo(task: Tuple[int, Tuple[int, ...], Tuple[object, ...]]
-                 ) -> Tuple[int, float, Optional[Tuple[str, str]],
-                            Optional[List[Dict[str, object]]]]:
-    """Price one grid point in a pool worker; must stay module-level
-    (process workers pickle it by reference).
-
-    Returns ``(index, value, error, spans)`` — ``spans`` is the wire
-    rendering of the spans this shard recorded for the grid point (None
-    when the sweep is untraced), labeled with this worker's ``proc``
-    name so the stitched exporter renders one row per pool process.
-    """
-    index, cand, combo = task
-    evaluate = _WORKER_STATE["evaluate"]
-    reject_on = _WORKER_STATE["reject_on"]
-    sink = _WORKER_STATE.get("sink")
-    if sink is None:
-        s = _score(evaluate, reject_on, index, cand, combo)  # type: ignore[arg-type]
-        return s[0], s[1], s[2], None
-    with TRACER.span(f"opt1.eval[{index}]", "solver", track="sweep",
-                     boundaries=len(cand)) as sp:
-        s = _score(evaluate, reject_on, index, cand, combo)  # type: ignore[arg-type]
-        sp.set(value=(None if math.isinf(s[1]) else round(s[1], 9)),
-               rejected=s[2] is not None)
-    proc = str(_WORKER_STATE["proc"])
-    shipped: List[Dict[str, object]] = []
-    for span in sink:  # type: ignore[union-attr]
-        span.proc = proc
-        shipped.append(span_to_dict(span))
-    del sink[:]  # type: ignore[union-attr]
-    return s[0], s[1], s[2], shipped
-
-
-def _parallelizable(evaluate: Callable[..., float],
-                    reject_on: Tuple[Type[BaseException], ...]) -> bool:
-    """Process workers receive tasks by pickle; closures cannot travel."""
-    try:
-        pickle.dumps((evaluate, reject_on))
-        return True
-    except Exception:
-        return False
-
-
 def portfolio_search(candidates: Sequence[Sequence[int]],
                      dimensions: Sequence[Sequence[object]],
                      evaluate: Callable[..., float], *,
-                     n_workers: int = 1,
                      reject_on: Tuple[Type[BaseException], ...] = (ValueError,)
                      ) -> PortfolioResult:
     """Score a boundary-candidate portfolio against the cross-product of
@@ -472,20 +404,18 @@ def portfolio_search(candidates: Sequence[Sequence[int]],
     the search carries on.
 
     Stateful evaluators are welcome: the grid is priced through the same
-    ``evaluate`` object in serial sweep order (or per-worker copies of it),
-    so an evaluator carrying memo tables — like
-    :class:`~repro.core.blocking.CandidateEvaluator` with its shared
-    lowering cache — amortizes pricing across grid points that realize the
-    same plan.  Memoization must be value-transparent; determinism of the
-    reduced winner relies on it.
+    ``evaluate`` object in serial sweep order, so an evaluator carrying
+    memo tables — like :class:`~repro.core.blocking.CandidateEvaluator`
+    with its shared lowering cache — amortizes pricing across grid points
+    that realize the same plan, and Opt-2 and local search reuse what the
+    sweep lowered.  Memoization must be value-transparent; determinism of
+    the winner relies on it.  The strict ``<`` keeps the earliest minimum,
+    so ties break by serial sweep order.
 
-    ``n_workers > 1`` shards the (candidate x dims) grid across a process
-    pool.  Evaluations are pure and independent, and the winner is reduced
-    by the lexicographic ``(value, serial index)`` minimum, so the result
-    is **bit-identical to the serial sweep** regardless of worker count or
-    completion order (the serial loop's strict ``<`` keeps the earliest
-    minimum, which is exactly the ``(value, index)`` minimum).  When
-    ``evaluate`` cannot be pickled the search degrades to the serial path.
+    The sweep runs in the calling process: a request is the unit of
+    parallelism (``plan --manifest --workers N`` fans configs out across
+    processes), and the grid of a few dozen points is too small to repay
+    shipping the evaluator to a worker pool.
 
     Returns a :class:`PortfolioResult`; ``best_candidate`` is None when no
     combination was feasible.
@@ -495,70 +425,27 @@ def portfolio_search(candidates: Sequence[Sequence[int]],
         for combo in itertools.product(*dimensions):
             grid.append((len(grid), tuple(cand), tuple(combo)))
 
-    use_workers = max(1, int(n_workers))
-    if use_workers > 1 and (len(grid) < 2
-                            or not _parallelizable(evaluate, reject_on)):
-        use_workers = 1
-
     scores: List[Tuple[int, float, Optional[Tuple[str, str]]]] = []
-    if use_workers == 1:
-        if TRACER.enabled or TRACER.current() is not None:
-            # per-candidate progress spans: which grid point the sweep is
-            # on, what it scored, whether it was rejected mid-sweep
-            with TRACER.span("opt1.sweep", "solver", grid=len(grid),
-                             workers=1):
-                for index, cand, combo in grid:
-                    with TRACER.span(f"opt1.eval[{index}]", "solver",
-                                     boundaries=len(cand)) as sp:
-                        s = _score(evaluate, reject_on, index, cand, combo)
-                        sp.set(value=(None if math.isinf(s[1])
-                                      else round(s[1], 9)),
-                               rejected=s[2] is not None)
-                    scores.append(s)
-        else:
+    if TRACER.enabled or TRACER.current() is not None:
+        # per-candidate progress spans: which grid point the sweep is
+        # on, what it scored, whether it was rejected mid-sweep
+        with TRACER.span("opt1.sweep", "solver", grid=len(grid)):
             for index, cand, combo in grid:
-                scores.append(_score(evaluate, reject_on, index, cand,
-                                     combo))
+                with TRACER.span(f"opt1.eval[{index}]", "solver",
+                                 boundaries=len(cand)) as sp:
+                    s = _score(evaluate, reject_on, index, cand, combo)
+                    sp.set(value=(None if math.isinf(s[1])
+                                  else round(s[1], 9)),
+                           rejected=s[2] is not None)
+                scores.append(s)
     else:
-        from concurrent.futures import ProcessPoolExecutor
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:          # pragma: no cover - non-POSIX hosts
-            ctx = mp.get_context("spawn")
-        chunk = max(1, len(grid) // (4 * use_workers))
-        # when the sweep is traced (globally, or per-request via an
-        # activated context), workers adopt the trace and ship their
-        # per-eval spans back with each result
-        wire_trace = TRACER.current()
-        if wire_trace is None and TRACER.enabled:
-            wire_trace = TraceContext.new()
-        with TRACER.span("opt1.sweep", "solver", grid=len(grid),
-                         workers=use_workers, shard_size=chunk) as sweep_sp:
-            with ProcessPoolExecutor(max_workers=use_workers,
-                                     mp_context=ctx,
-                                     initializer=_init_portfolio_worker,
-                                     initargs=(evaluate, reject_on,
-                                               wire_trace)) as pool:
-                raw = list(pool.map(_score_combo, grid, chunksize=chunk))
-            shipped = 0
-            for index, value, error, spans in raw:
-                if spans:
-                    TRACER.adopt(spans)
-                    shipped += len(spans)
-                scores.append((index, value, error))
-            if shipped:
-                sweep_sp.set(shipped_spans=shipped)
+        for index, cand, combo in grid:
+            scores.append(_score(evaluate, reject_on, index, cand, combo))
 
     METRICS.counter("solver.grid_points").inc(len(grid))
     best_index: Optional[int] = None
     best_value = math.inf
     rejected: List[RejectedCandidate] = []
-    if use_workers > 1:
-        scores = sorted(scores)
-    # the serial path appends in index order already; pool.map preserves
-    # task order too, but sorting is kept there as a cheap invariant guard
     for index, value, error in scores:
         if error is not None:
             _, cand, combo = grid[index]
@@ -572,92 +459,11 @@ def portfolio_search(candidates: Sequence[Sequence[int]],
     if best_index is None:
         return PortfolioResult(best_candidate=None, best_dims=(),
                                best_value=math.inf, evaluated=len(grid),
-                               rejected=rejected, n_workers=use_workers)
+                               rejected=rejected)
     _, best_cand, best_combo = grid[best_index]
     return PortfolioResult(best_candidate=list(best_cand),
                            best_dims=best_combo, best_value=best_value,
-                           evaluated=len(grid), rejected=rejected,
-                           n_workers=use_workers)
-
-
-class WorkerBudget:
-    """Thread-safe token pool that carves the portfolio process pool into
-    per-request leases.
-
-    The planning daemon (:mod:`repro.service`) serves many concurrent
-    requests out of one machine, but the sweep's process pool
-    (``n_workers`` in :func:`portfolio_search`) is a machine-wide
-    resource: one huge sweep taking every core would starve every other
-    queued request.  A budget holds ``total`` worker tokens; each request
-    leases ``max(minimum, min(want, per_request_cap, free))`` of them for
-    the duration of its search.
-
-    The ``minimum`` floor guarantees progress — a request is always
-    granted at least one worker even when the pool is exhausted, so the
-    budget may transiently oversubscribe by at most one token per
-    concurrent lease (a single-process sweep is just the serial path).
-    The ``per_request_cap`` keeps any single sweep from monopolizing the
-    pool regardless of what it asks for.
-
-    Args:
-        total: machine-wide worker tokens shared by all leases.
-        per_request_cap: ceiling on any one lease's grant; defaults to
-            ``total`` (no per-request cap beyond the pool itself).
-    """
-
-    def __init__(self, total: int,
-                 per_request_cap: Optional[int] = None) -> None:
-        if total < 1:
-            raise ValueError("worker budget must hold at least 1 token")
-        self.total = int(total)
-        self.per_request_cap = int(per_request_cap
-                                   if per_request_cap is not None else total)
-        if self.per_request_cap < 1:
-            raise ValueError("per-request cap must be >= 1")
-        self._free = self.total
-        self._lock = threading.Lock()
-
-    @property
-    def free(self) -> int:
-        """Currently unleased tokens (negative while oversubscribed)."""
-        with self._lock:
-            return self._free
-
-    def acquire(self, want: int = 1, *, minimum: int = 1) -> int:
-        """Lease up to ``want`` workers; returns the granted count.
-
-        Never blocks and never grants less than ``minimum`` (progress
-        floor); the grant is clamped by the per-request cap and by the
-        tokens currently free.  Pair every acquire with a
-        :meth:`release` of the same grant — or use :meth:`lease`.
-        """
-        want = max(int(minimum), int(want))
-        with self._lock:
-            granted = max(int(minimum),
-                          min(want, self.per_request_cap, self._free))
-            self._free -= granted
-            return granted
-
-    def release(self, granted: int) -> None:
-        """Return a lease's tokens to the pool."""
-        with self._lock:
-            self._free += int(granted)
-            if self._free > self.total:   # release without matching acquire
-                raise ValueError("worker budget over-released")
-
-    @contextmanager
-    def lease(self, want: int = 1, *,
-              minimum: int = 1) -> Iterator[int]:
-        """Context manager pairing :meth:`acquire` with :meth:`release`.
-
-        Yields the granted worker count for the ``with`` body (typically
-        forwarded as ``plan(..., n_workers=granted)``).
-        """
-        granted = self.acquire(want, minimum=minimum)
-        try:
-            yield granted
-        finally:
-            self.release(granted)
+                           evaluated=len(grid), rejected=rejected)
 
 
 def local_search(boundaries: List[int], num_segments: int,

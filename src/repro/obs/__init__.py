@@ -24,9 +24,9 @@ the *inside* of a planning or validation run inspectable:
 
 Distributed tracing rides on :class:`~repro.obs.trace.TraceContext`:
 ``plan --server`` requests mint one per call, the wire protocol carries
-it daemon-side, and pool workers ship their spans back so
+it daemon-side, and the daemon ships the request's spans back so
 :func:`~repro.obs.export.stitched_trace_events` can render one
-client/daemon/worker timeline.
+client/daemon timeline.
 
 ``python -m repro trace <config> -o out.json`` (and the ``--trace`` /
 ``--metrics`` flags on ``plan`` and ``validate``) are the CLI front ends;

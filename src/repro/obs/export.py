@@ -132,9 +132,9 @@ def stitched_trace_events(spans: "Sequence[Span]", *,
     process; empty means the local ``client_proc``).  Unlike
     :func:`span_track_events`, every process shares ONE global ``t0`` —
     span timestamps are ``time.perf_counter`` readings, which on Linux
-    is the system-wide ``CLOCK_MONOTONIC``, so client, daemon and
-    forked pool-worker clocks are directly comparable and the rendered
-    rows line up in true wall-clock order.
+    is the system-wide ``CLOCK_MONOTONIC``, so the clocks of every local
+    process are directly comparable and the rendered rows line up in
+    true wall-clock order.
 
     Each origin process becomes its own ``pid`` row (client first, then
     the daemon, then workers), with per-process tracks as threads.

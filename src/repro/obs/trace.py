@@ -43,8 +43,7 @@ is stamped with the context's ``trace_id``.  Per-trace *collectors*
 (:meth:`Tracer.collect`) gather every span of one trace id regardless of
 which thread recorded it — the planner daemon registers one per traced
 request and ships the collected spans back over the wire
-(:func:`span_to_dict` / :func:`span_from_dict` are the wire format;
-:meth:`Tracer.adopt` re-emits spans received from another process).
+(:func:`span_to_dict` / :func:`span_from_dict` are the wire format).
 Timestamps are comparable across local processes because
 ``time.perf_counter`` reads the system-wide ``CLOCK_MONOTONIC``.
 """
@@ -72,10 +71,10 @@ __all__ = [
 class TraceContext:
     """Identity of one distributed request: trace id + requesting span.
 
-    ``trace_id`` names the whole end-to-end request (client -> daemon ->
-    pool workers); ``parent_id`` names the span that minted or forwarded
-    the context (informational — spans link to their trace, not to each
-    other).  Contexts cross the newline-JSON wire as plain dicts.
+    ``trace_id`` names the whole end-to-end request (client -> daemon);
+    ``parent_id`` names the span that minted or forwarded the context
+    (informational — spans link to their trace, not to each other).
+    Contexts cross the newline-JSON wire as plain dicts.
     """
 
     trace_id: str
@@ -258,10 +257,6 @@ class Tracer:
         finally:
             self._local.ctx = prev
 
-    def adopt_context(self, ctx: Optional[TraceContext]) -> None:
-        """Permanently activate ``ctx`` on this thread (pool workers)."""
-        self._local.ctx = ctx
-
     @contextmanager
     def collect(self, trace_id: str) -> Iterator[List[Span]]:
         """Gather every span of ``trace_id``, from any thread, into a list.
@@ -278,23 +273,6 @@ class Tracer:
         finally:
             with self._lock:
                 self._collectors.pop(trace_id, None)
-
-    def attach_collector(self, trace_id: str) -> List[Span]:
-        """Register (and return) a collector list for ``trace_id``.
-
-        Non-context variant of :meth:`collect` for process-long
-        registrations (the portfolio pool workers); pair with
-        :meth:`detach_collector` when a scope exists.
-        """
-        sink: List[Span] = []
-        with self._lock:
-            self._collectors[trace_id] = sink
-        return sink
-
-    def detach_collector(self, trace_id: str) -> None:
-        """Unregister a collector installed by :meth:`attach_collector`."""
-        with self._lock:
-            self._collectors.pop(trace_id, None)
 
     def peek_collected(self, trace_id: str) -> List[Span]:
         """Snapshot a live collector's spans (empty when unregistered)."""
@@ -330,24 +308,6 @@ class Tracer:
             end=max(start, end),
             track=track or threading.current_thread().name,
             args=dict(args), trace_id=ctx.trace_id if ctx else ""))
-
-    def adopt(self, payload: List[Dict[str, Any]],
-              proc: Optional[str] = None) -> List[Span]:
-        """Re-emit spans shipped from another process (wire dicts).
-
-        The spans keep their original timestamps, trace ids and ``proc``
-        labels (``proc`` overrides when given); they flow to this
-        process's buffers/collectors/sink exactly like locally recorded
-        spans.  Returns the adopted :class:`Span` objects.
-        """
-        spans = []
-        for data in payload:
-            span = span_from_dict(data)
-            if proc is not None:
-                span.proc = proc
-            self._emit(span)
-            spans.append(span)
-        return spans
 
     # -- harvesting --------------------------------------------------------
 

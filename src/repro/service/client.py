@@ -164,7 +164,7 @@ class PlannerClient:
                   interval_s: float = 1.0) -> Iterator[Dict[str, Any]]:
         """Stream ``count`` live telemetry frames from the daemon.
 
-        Yields one frame dict (queue/budget gauges + the full metrics
+        Yields one frame dict (queue/tier gauges + the full metrics
         snapshot, see :meth:`PlannerDaemon.telemetry
         <repro.service.daemon.PlannerDaemon.telemetry>`) every
         ``interval_s`` seconds; ``python -m repro top`` renders these.

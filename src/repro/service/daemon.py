@@ -17,14 +17,12 @@ resident and turns planning into a *service*:
 * **single-flight** — identical concurrent requests collapse onto one
   planner invocation: the first becomes the *leader*, the rest attach as
   *waiters* and share the leader's bit-identical result (classic
-  cache-stampede protection);
-* **worker budgets** — planner parallelism is carved from one shared
-  :class:`~repro.core.solver.WorkerBudget` so a single request cannot
-  monopolize the process pool under load.
+  cache-stampede protection).
 
-Requests are served by a small pool of daemon worker threads; the
-planner callable itself may fan out into processes (the PR 2 portfolio
-pool).  Everything lands in :data:`~repro.obs.metrics.METRICS`
+Requests are served by a small pool of daemon worker threads, and each
+request is planned start to finish on the thread that dequeued it: the
+request is the unit of parallelism, so the planner never forks.
+Everything lands in :data:`~repro.obs.metrics.METRICS`
 (``service.*`` names) and, when enabled, :data:`~repro.obs.trace.TRACER`
 spans — see ``docs/service.md`` for the name tables.
 """
@@ -40,7 +38,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..cache.digest import stable_digest
 from ..cache.plan_cache import PlanCache
-from ..core.solver import WorkerBudget
 from ..obs.flight import FLIGHT
 from ..obs.metrics import METRICS
 from ..obs.trace import Span, TRACER, TraceContext, span_to_dict
@@ -85,10 +82,6 @@ class ServiceConfig:
         queue_depth: admission bound; requests beyond it are shed with
             :class:`~repro.service.errors.QueueFull`.
         service_workers: daemon threads consuming the request queue.
-        pool_workers: total planner workers shared by all in-flight
-            requests (the :class:`~repro.core.solver.WorkerBudget` pool).
-        max_workers_per_request: cap on the workers any one request may
-            lease from the pool.
         default_deadline_s: deadline applied to requests that do not
             carry their own (``None`` = wait forever).
         hot_capacity: entries kept in the in-process hot LRU tier.
@@ -96,8 +89,6 @@ class ServiceConfig:
 
     queue_depth: int = 16
     service_workers: int = 2
-    pool_workers: int = 4
-    max_workers_per_request: int = 2
     default_deadline_s: Optional[float] = None
     hot_capacity: int = 128
 
@@ -106,10 +97,6 @@ class ServiceConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.service_workers < 1:
             raise ValueError("service_workers must be >= 1")
-        if self.pool_workers < 1:
-            raise ValueError("pool_workers must be >= 1")
-        if self.max_workers_per_request < 1:
-            raise ValueError("max_workers_per_request must be >= 1")
         if self.hot_capacity < 1:
             raise ValueError("hot_capacity must be >= 1")
 
@@ -173,8 +160,8 @@ class _Job:
     trace: Optional[TraceContext] = None   # the leader's request trace
 
 
-#: A planner callable: (config, n_workers) -> plan record.
-PlannerFn = Callable[[Dict[str, Any], int], Dict[str, Any]]
+#: A planner callable: config -> plan record.
+PlannerFn = Callable[[Dict[str, Any]], Dict[str, Any]]
 
 
 class PlannerDaemon:
@@ -212,9 +199,6 @@ class PlannerDaemon:
         self.chaos = chaos
         self._respawned = 0
         self._planner: PlannerFn = planner or self._default_planner
-        self._budget = WorkerBudget(
-            self.config.pool_workers,
-            per_request_cap=self.config.max_workers_per_request)
         self._queue: "queue.Queue[Any]" = queue.Queue(
             maxsize=self.config.queue_depth)
         self._hot: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -301,7 +285,7 @@ class PlannerDaemon:
             deadline_s: seconds this caller is willing to wait
                 (overrides the service default; ``None`` defers to it).
             trace: distributed trace context to serve the request under;
-                daemon + pool-worker spans are sampled for it even when
+                the daemon's spans are sampled for it even when
                 global tracing is off.  Single-flight waiters keep their
                 own trace but inherit the leader's planning spans.
             collect_spans: attach the trace's wire-rendered spans to the
@@ -446,8 +430,7 @@ class PlannerDaemon:
             "queue_capacity": self.config.queue_depth,
             "hot_entries": len(self._hot),
             "hot_capacity": self.config.hot_capacity,
-            "workers_free": self._budget.free,
-            "pool_workers": self.config.pool_workers,
+            "service_workers": self.config.service_workers,
             "counters": {k: v for k, v in snap["counters"].items()
                          if k.startswith(("service.", "cluster.",
                                           "plan_cache."))},
@@ -477,8 +460,7 @@ class PlannerDaemon:
             "queue_capacity": self.config.queue_depth,
             "hot_entries": len(self._hot),
             "hot_capacity": self.config.hot_capacity,
-            "workers_free": self._budget.free,
-            "pool_workers": self.config.pool_workers,
+            "service_workers": self.config.service_workers,
             "metrics": METRICS.snapshot(),
         }
         if self.cluster is not None:
@@ -559,10 +541,7 @@ class PlannerDaemon:
                         t_plan = time.perf_counter()
                         with TRACER.span("service.plan", "service",
                                          key=job.key[:16]):
-                            with self._budget.lease(
-                                    self.config.max_workers_per_request
-                                    ) as n:
-                                record = self._planner(job.config, n)
+                            record = self._planner(job.config)
                         METRICS.histogram("service.latency.plan").observe(
                             time.perf_counter() - t_plan)
                     tier = ("warm" if record.get("cache") == "hit"
@@ -600,13 +579,12 @@ class PlannerDaemon:
         thread.start()
         METRICS.counter("service.workers_respawned").inc()
 
-    def _default_planner(self, config: Dict[str, Any],
-                         n_workers: int) -> Dict[str, Any]:
+    def _default_planner(self, config: Dict[str, Any]) -> Dict[str, Any]:
         """Plan through the CLI's service entry against our cache tier."""
         from ..cli import plan_config_full
 
         record, _ = plan_config_full(config, use_cache=self.cache is not None,
-                                     n_workers=n_workers, cache=self.cache)
+                                     cache=self.cache)
         return record
 
     def _hot_get(self, key: str) -> Optional[Dict[str, Any]]:

@@ -31,7 +31,7 @@ from repro.service.server import PlannerServer
 
 
 def _planner(gate: threading.Event):
-    def plan(config: Dict[str, Any], n_workers: int) -> Dict[str, Any]:
+    def plan(config: Dict[str, Any]) -> Dict[str, Any]:
         assert gate.wait(10), "test gate never opened"
         return {"cache": "miss", "model": config.get("model"),
                 "batch": config.get("batch")}
@@ -44,7 +44,7 @@ def traced_server(tmp_path):
     sock = str(tmp_path / "karma.sock")
     gate = threading.Event()
     gate.set()
-    daemon = PlannerDaemon(ServiceConfig(pool_workers=2),
+    daemon = PlannerDaemon(ServiceConfig(service_workers=2),
                            planner=_planner(gate))
     daemon.start()
     server = PlannerServer(daemon, sock).start()
@@ -353,7 +353,7 @@ class TestTelemetryOps:
     def test_daemon_telemetry_gauges(self, traced_server):
         _, daemon, _ = traced_server
         frame = daemon.telemetry()
-        assert frame["pool_workers"] == 2
+        assert frame["service_workers"] == 2
         assert frame["hot_capacity"] >= 1
         assert frame["uptime_s"] >= 0.0
 
@@ -367,8 +367,7 @@ class TestTelemetryOps:
 def real_planner_server(tmp_path):
     """A daemon running the *real* planner (no cache: plans stay cold)."""
     sock = str(tmp_path / "real.sock")
-    daemon = PlannerDaemon(ServiceConfig(pool_workers=4,
-                                         max_workers_per_request=2))
+    daemon = PlannerDaemon()
     daemon.start()
     server = PlannerServer(daemon, sock).start()
     assert wait_for_server(sock, timeout=10)
@@ -383,7 +382,7 @@ class TestCli:
         from repro.cli import main
 
         out = tmp_path / "stitched.json"
-        # unet/abci fans the portfolio sweep across 2 pool workers
+        # unet/abci sweeps its portfolio on the daemon's request thread
         rc = main(["trace", "unet", "--hierarchy", "abci",
                    "--server", real_planner_server, "-o", str(out)])
         assert rc == 0
@@ -391,12 +390,19 @@ class TestCli:
         assert validate_chrome_trace(doc) == []
         procs = {e["args"]["name"] for e in doc["traceEvents"]
                  if e.get("ph") == "M" and e["name"] == "process_name"}
-        workers = {p for p in procs if p.startswith("worker-")}
         assert "client" in procs and "daemon" in procs
-        assert len(workers) >= 2
+        assert not any(p.startswith("worker-") for p in procs)
+        pid_of = {e["args"]["name"]: e["pid"] for e in doc["traceEvents"]
+                  if e.get("ph") == "M" and e["name"] == "process_name"}
+        # the sweep's per-candidate spans ship back in the daemon's row
+        evals = [e for e in doc["traceEvents"] if e.get("ph") == "X"
+                 and e["pid"] == pid_of["daemon"]
+                 and e["name"].startswith("opt1.eval[")]
+        assert evals
         ids = {e["args"]["trace_id"] for e in doc["traceEvents"]
                if e.get("ph") == "X" and "trace_id" in e.get("args", {})}
         assert len(ids) == 1
+        assert {e["args"]["trace_id"] for e in evals} == ids
         assert "distributed trace" in capsys.readouterr().out
 
     def test_trace_server_rejects_unknown_model(self, capsys):
@@ -424,11 +430,12 @@ class TestCli:
 
         METRICS.histogram("service.latency.plan").observe(0.05)
         frame = {"uptime_s": 3.0, "running": True, "queue_depth": 1,
-                 "queue_capacity": 16, "workers_free": 2,
-                 "pool_workers": 4, "hot_entries": 5, "hot_capacity": 128,
+                 "queue_capacity": 16, "service_workers": 2,
+                 "hot_entries": 5, "hot_capacity": 128,
                  "metrics": METRICS.snapshot()}
         text = _render_top(frame, seq=0, addr="x.sock")
         assert "queue" in text and "p95=" in text and "p99=" in text
+        assert "2 service worker(s)" in text
 
     def test_top_unreachable_daemon_fails_cleanly(self, tmp_path, capsys):
         from repro.cli import main

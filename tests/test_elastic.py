@@ -610,7 +610,7 @@ class TestServiceChaos:
     def _daemon(self, monkey, planner=None, **cfg):
         from repro.service.daemon import PlannerDaemon, ServiceConfig
 
-        def default_planner(config, n):
+        def default_planner(config):
             return {"model": config.get("model"), "planned": True}
 
         return PlannerDaemon(ServiceConfig(**cfg),
@@ -665,7 +665,7 @@ class TestServiceChaos:
 
         calls = {"n": 0}
 
-        def failing_planner(config, n):
+        def failing_planner(config):
             calls["n"] += 1
             raise ValueError("bad model config")
 
@@ -686,7 +686,7 @@ class TestServiceChaos:
         from repro.service.client import PlannerClient, wait_for_server
         from repro.service.server import PlannerServer
 
-        def slow_planner(config, n):
+        def slow_planner(config):
             time.sleep(0.3)
             return {"planned": True}
 

@@ -17,7 +17,7 @@ from repro.cache import (
 from repro.cache.digest import CACHE_FORMAT_VERSION
 from repro.cli import main as cli_main
 from repro.cli import plan_config
-from repro.core import plan, portfolio_search, solve_blocking
+from repro.core import plan, portfolio_search
 from repro.costs import profile_graph
 from repro.hardware import (
     TransferModel,
@@ -321,53 +321,39 @@ class TestPlannerCache:
 
 
 # --------------------------------------------------------------------------
-# Parallel portfolio search
+# Portfolio search
 # --------------------------------------------------------------------------
 
 def grid_objective(cand, margin, policy):
-    """Module-level (picklable) toy objective with deliberate ties."""
+    """Toy objective with deliberate ties."""
     if policy == "reject":
         raise PlacementError(f"policy rejected for {cand}")
     return round(sum(cand) * margin, 6)
 
 
 class TestParallelSearch:
+    """The portfolio sweep's contract: serial-order tie-break, recorded
+    rejections, and the legacy ``(best, dims, value)`` unpacking."""
+
     CANDS = [[1, 4], [2, 4], [1, 2, 4], [4]]
     DIMS = ([0.5, 1.0], ["a", "b"])
-
-    def test_parallel_equals_serial_toy(self):
-        serial = portfolio_search(self.CANDS, self.DIMS, grid_objective,
-                                  n_workers=1)
-        par = portfolio_search(self.CANDS, self.DIMS, grid_objective,
-                               n_workers=3)
-        assert serial.best_candidate == par.best_candidate
-        assert serial.best_dims == par.best_dims
-        assert serial.best_value == par.best_value
-        assert par.n_workers == 3
 
     def test_tie_break_matches_serial_first_seen(self):
         # [1, 4] and [2, 4] tie at margin 0.5 vs 1.0 crossings; the winner
         # must be the earliest grid index, same as the serial strict-<.
         res = portfolio_search([[3], [1, 2], [2, 1]], ([1.0], ["a"]),
-                               lambda c, m, p: 3.0, n_workers=1)
+                               lambda c, m, p: 3.0)
         assert res.best_candidate == [3]
+        assert res.n_workers == 1
 
     def test_rejections_recorded_not_fatal(self):
         res = portfolio_search(self.CANDS, ([1.0], ["a", "reject"]),
-                               grid_objective, n_workers=1,
+                               grid_objective,
                                reject_on=(PlacementError,))
         assert res.best_candidate is not None
         assert len(res.rejected) == len(self.CANDS)
         assert all(r.error_type == "PlacementError" for r in res.rejected)
         assert res.evaluated == 2 * len(self.CANDS)
-
-    def test_rejections_recorded_in_parallel(self):
-        res = portfolio_search(self.CANDS, ([1.0], ["a", "reject"]),
-                               grid_objective, n_workers=2,
-                               reject_on=(PlacementError,))
-        assert len(res.rejected) == len(self.CANDS)
-        assert [r.index for r in res.rejected] \
-            == sorted(r.index for r in res.rejected)
 
     def test_all_rejected_returns_none(self):
         res = portfolio_search(self.CANDS, ([1.0], ["reject"]),
@@ -376,34 +362,11 @@ class TestParallelSearch:
         assert res.best_candidate is None
         assert math.isinf(res.best_value)
 
-    def test_unpicklable_evaluate_degrades_to_serial(self):
-        seen = []
-
-        def closure_eval(cand, margin, policy):
-            seen.append(cand)
-            return sum(cand) * margin
-
-        res = portfolio_search(self.CANDS, ([1.0], ["a"]), closure_eval,
-                               n_workers=4)
-        assert res.n_workers == 1
-        assert len(seen) == len(self.CANDS)
-
     def test_legacy_tuple_unpacking(self):
         best, dims, value = portfolio_search(
             self.CANDS, self.DIMS, grid_objective)
         assert best == [4]
         assert value == pytest.approx(2.0)
-
-    def test_solve_blocking_parallel_equals_serial(self, tiny_platform):
-        graph, device, transfer, cost = tiny_platform
-        serial = solve_blocking(graph, cost, 500_000, graph.name, 8,
-                                n_workers=1)
-        par = solve_blocking(graph, cost, 500_000, graph.name, 8,
-                             n_workers=2)
-        assert serial.boundaries_segments == par.boundaries_segments
-        assert serial.objective == par.objective
-        assert serial.policies == par.policies
-        assert serial.placements == par.placements
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ state (merges attached, queue full) and only then releases it.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -18,7 +19,6 @@ from typing import Any, Dict, List
 import pytest
 
 from repro.cache.plan_cache import PlanCache
-from repro.core.solver import WorkerBudget
 from repro.hardware.tiering import MiB, tiny_test_hierarchy
 from repro.obs.metrics import METRICS
 from repro.service import (
@@ -43,11 +43,11 @@ def _counter(name: str) -> float:
     return METRICS.snapshot()["counters"].get(name, 0.0)
 
 
-def _fake_planner(gate: threading.Event, calls: List[int]):
-    """A planner that blocks on ``gate`` and logs its worker grants."""
+def _fake_planner(gate: threading.Event, calls: List[Dict[str, Any]]):
+    """A planner that blocks on ``gate`` and logs the configs it plans."""
 
-    def planner(config: Dict[str, Any], n_workers: int) -> Dict[str, Any]:
-        calls.append(n_workers)
+    def planner(config: Dict[str, Any]) -> Dict[str, Any]:
+        calls.append(config)
         assert gate.wait(10), "test gate never opened"
         return {"cache": "miss", "model": config.get("model"),
                 "batch": config.get("batch")}
@@ -82,7 +82,7 @@ class TestRequestKey:
 class TestAdmission:
     def test_queue_full_sheds_immediately_with_typed_rejection(self):
         gate = threading.Event()
-        calls: List[int] = []
+        calls: List[Dict[str, Any]] = []
         daemon = PlannerDaemon(
             ServiceConfig(queue_depth=1, service_workers=1),
             planner=_fake_planner(gate, calls))
@@ -136,7 +136,7 @@ class TestAdmission:
 
     def test_deadline_expires_for_a_queued_job(self):
         gate = threading.Event()
-        calls: List[int] = []
+        calls: List[Dict[str, Any]] = []
         daemon = PlannerDaemon(
             ServiceConfig(queue_depth=4, service_workers=1),
             planner=_fake_planner(gate, calls))
@@ -185,7 +185,7 @@ class TestAdmission:
             blocker.join()
 
     def test_closed_daemon_rejects(self):
-        daemon = PlannerDaemon(planner=lambda c, n: {"cache": "miss"})
+        daemon = PlannerDaemon(planner=lambda c: {"cache": "miss"})
         with pytest.raises(ServiceClosed):
             daemon.request({"model": "m", "batch": 1})
         daemon.start()
@@ -194,7 +194,7 @@ class TestAdmission:
             daemon.request({"model": "m", "batch": 1})
 
     def test_planner_exception_becomes_planning_failed(self):
-        def boom(config: Dict[str, Any], n: int) -> Dict[str, Any]:
+        def boom(config: Dict[str, Any]) -> Dict[str, Any]:
             raise ValueError("infeasible capacity")
 
         with PlannerDaemon(planner=boom) as daemon:
@@ -212,7 +212,7 @@ class TestSingleFlight:
         all K responses bit-identical (the headline stampede assert)."""
         K = 8
         gate = threading.Event()
-        calls: List[int] = []
+        calls: List[Dict[str, Any]] = []
         merges0 = _counter("service.singleflight_merges")
         daemon = PlannerDaemon(
             ServiceConfig(queue_depth=16, service_workers=2),
@@ -251,7 +251,7 @@ class TestSingleFlight:
     def test_distinct_requests_do_not_merge(self):
         gate = threading.Event()
         gate.set()
-        calls: List[int] = []
+        calls: List[Dict[str, Any]] = []
         with PlannerDaemon(planner=_fake_planner(gate, calls)) as daemon:
             daemon.request({"model": "a", "batch": 1})
             daemon.request({"model": "a", "batch": 2})
@@ -260,7 +260,7 @@ class TestSingleFlight:
     def test_hot_tier_serves_repeats_without_queueing(self):
         gate = threading.Event()
         gate.set()
-        calls: List[int] = []
+        calls: List[Dict[str, Any]] = []
         with PlannerDaemon(planner=_fake_planner(gate, calls)) as daemon:
             first = daemon.request({"model": "a", "batch": 1})
             again = daemon.request({"model": "a", "batch": 1})
@@ -270,7 +270,7 @@ class TestSingleFlight:
     def test_hot_lru_evicts_at_capacity(self):
         gate = threading.Event()
         gate.set()
-        calls: List[int] = []
+        calls: List[Dict[str, Any]] = []
         cfg = ServiceConfig(hot_capacity=2)
         with PlannerDaemon(cfg, planner=_fake_planner(gate, calls)) \
                 as daemon:
@@ -282,72 +282,12 @@ class TestSingleFlight:
         assert len(calls) == 4
 
     def test_warm_tier_reported_for_cache_hits(self):
-        def cached(config: Dict[str, Any], n: int) -> Dict[str, Any]:
+        def cached(config: Dict[str, Any]) -> Dict[str, Any]:
             return {"cache": "hit", "batch": config["batch"]}
 
         with PlannerDaemon(planner=cached) as daemon:
             assert daemon.request({"model": "a",
                                    "batch": 1}).tier == "warm"
-
-
-# ---------------------------------------------------------------------------
-# worker budgets
-# ---------------------------------------------------------------------------
-
-class TestWorkerBudget:
-    def test_grants_are_capped_and_never_block(self):
-        budget = WorkerBudget(3, per_request_cap=2)
-        a = budget.acquire(4)
-        assert a == 2 and budget.free == 1
-        b = budget.acquire(2)
-        assert b == 1 and budget.free == 0
-        # exhausted pool still grants the floor of 1 (oversubscription,
-        # not deadlock)
-        c = budget.acquire(2)
-        assert c == 1
-        budget.release(a)
-        budget.release(b)
-        budget.release(c)
-        assert budget.free == 3
-
-    def test_release_guards_overflow(self):
-        budget = WorkerBudget(2)
-        g = budget.acquire(1)
-        budget.release(g)
-        with pytest.raises(ValueError):
-            budget.release(5)
-
-    def test_lease_restores_on_error(self):
-        budget = WorkerBudget(2)
-        with pytest.raises(RuntimeError):
-            with budget.lease(2):
-                raise RuntimeError("planner failed")
-        assert budget.free == 2
-
-    def test_daemon_isolates_request_budgets(self):
-        """Pool of 3, cap 2: three concurrent requests see [1, 1, 2]-ish
-        grants — no request monopolizes the pool."""
-        gate = threading.Event()
-        calls: List[int] = []
-        cfg = ServiceConfig(queue_depth=8, service_workers=3,
-                            pool_workers=3, max_workers_per_request=2)
-        with PlannerDaemon(cfg, planner=_fake_planner(gate, calls)) \
-                as daemon:
-            threads = [threading.Thread(
-                target=lambda i=i: daemon.request({"model": "m",
-                                                   "batch": i}))
-                for i in range(3)]
-            for t in threads:
-                t.start()
-            deadline = time.monotonic() + 5
-            while len(calls) < 3 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            gate.set()
-            for t in threads:
-                t.join()
-        assert len(calls) == 3
-        assert all(1 <= n <= 2 for n in calls)
-        assert sum(calls) <= 4   # 3 tokens + at most one floor-grant
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +381,7 @@ class TestClusterArbiter:
 class TestDaemonWithRealPlanner:
     def test_cold_then_hot_with_tier_bytes(self, tmp_path):
         cache = PlanCache(cache_dir=tmp_path / "plans")
-        cfg = ServiceConfig(pool_workers=2)
-        with PlannerDaemon(cfg, cache=cache) as daemon:
+        with PlannerDaemon(cache=cache) as daemon:
             cold = daemon.request({"model": "unet", "batch": 8})
             hot = daemon.request({"model": "unet", "batch": 8})
         assert cold.tier == "cold" and hot.tier == "hot"
@@ -450,14 +389,46 @@ class TestDaemonWithRealPlanner:
         assert "tier_bytes" in cold.record
 
     def test_warm_tier_after_daemon_restart(self, tmp_path):
-        cfg = ServiceConfig(pool_workers=1)
-        with PlannerDaemon(cfg,
-                           cache=PlanCache(cache_dir=tmp_path / "p")) as d:
+        with PlannerDaemon(cache=PlanCache(cache_dir=tmp_path / "p")) as d:
             assert d.request({"model": "unet", "batch": 8}).tier == "cold"
         # a fresh daemon has an empty hot tier but shares the disk cache
-        with PlannerDaemon(cfg,
-                           cache=PlanCache(cache_dir=tmp_path / "p")) as d:
+        with PlannerDaemon(cache=PlanCache(cache_dir=tmp_path / "p")) as d:
             assert d.request({"model": "unet", "batch": 8}).tier == "warm"
+
+    def test_concurrent_cold_plans_match_in_process(self, tmp_path):
+        """Two distinct cold configs planned at once on the daemon's two
+        request threads: each record equals the in-process plan, and no
+        child process is left behind."""
+        from repro.cli import plan_config_full
+
+        configs = [{"model": "unet", "batch": 24, "hierarchy": "abci"},
+                   {"model": "resnet50", "batch": 256}]
+        timing = ("wall_s", "search_s")
+        replies: Dict[int, Any] = {}
+        start = threading.Barrier(len(configs))
+        with PlannerDaemon(ServiceConfig(service_workers=2),
+                           cache=PlanCache(cache_dir=tmp_path / "d")) \
+                as daemon:
+            def go(i: int) -> None:
+                start.wait(10)
+                replies[i] = daemon.request(configs[i])
+
+            threads = [threading.Thread(target=go, args=(i,))
+                       for i in range(len(configs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        for i, config in enumerate(configs):
+            expected, _ = plan_config_full(
+                config, cache=PlanCache(cache_dir=tmp_path / f"p{i}"))
+            got = replies[i]
+            assert got.tier == "cold"
+            assert got.record["swapped"] > 0     # the sweep really ran
+            assert {k: v for k, v in got.record.items()
+                    if k not in timing} == \
+                {k: v for k, v in expected.items() if k not in timing}
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +442,8 @@ def served_daemon(tmp_path):
     cluster = ClusterArbiter(tiny_test_hierarchy(), n_devices=2)
     gate = threading.Event()
     gate.set()
-    calls: List[int] = []
-    daemon = PlannerDaemon(ServiceConfig(pool_workers=2),
-                           planner=_fake_planner(gate, calls),
+    calls: List[Dict[str, Any]] = []
+    daemon = PlannerDaemon(planner=_fake_planner(gate, calls),
                            cluster=cluster)
     daemon.start()
     server = PlannerServer(daemon, sock).start()
@@ -551,7 +521,7 @@ class TestSocketProtocol:
 
     def test_shutdown_op_stops_the_server(self, tmp_path):
         sock = str(tmp_path / "k.sock")
-        daemon = PlannerDaemon(planner=lambda c, n: {"cache": "miss"})
+        daemon = PlannerDaemon(planner=lambda c: {"cache": "miss"})
         daemon.start()
         server = PlannerServer(daemon, sock).start()
         assert wait_for_server(sock, timeout=10)
@@ -572,7 +542,7 @@ class TestSocketProtocol:
     def test_concurrent_stop_and_shutdown_op(self, tmp_path):
         """Racing ``stop()`` calls plus a ``shutdown`` op all return
         cleanly and leave no socket file behind."""
-        daemon = PlannerDaemon(planner=lambda c, n: {"cache": "miss"})
+        daemon = PlannerDaemon(planner=lambda c: {"cache": "miss"})
         daemon.start()
         try:
             for trial in range(20):
@@ -612,6 +582,12 @@ class TestSocketProtocol:
 # ---------------------------------------------------------------------------
 
 class TestServeCli:
+    def test_serve_flag_defaults_are_service_config_defaults(self):
+        from repro.cli import _service_config, build_parser
+
+        args = build_parser().parse_args(["serve", "--socket", "x"])
+        assert _service_config(args) == ServiceConfig()
+
     def test_serve_roundtrip_via_cli(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -621,7 +597,7 @@ class TestServeCli:
         def serve():
             server_rc.append(main([
                 "serve", "--socket", sock, "--no-cache",
-                "--service-workers", "1", "--pool-workers", "1"]))
+                "--service-workers", "1"]))
 
         t = threading.Thread(target=serve, daemon=True)
         t.start()
