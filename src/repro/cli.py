@@ -776,6 +776,11 @@ def _run_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _span_identity(span: Any) -> Tuple[str, str, float, float, str]:
+    """What tells one recorded span from another across the wire."""
+    return (span.name, span.track, span.start, span.end, span.trace_id)
+
+
 def _trace_via_server(args: argparse.Namespace) -> int:
     """The ``trace --server`` path: one distributed-trace round trip.
 
@@ -831,7 +836,12 @@ def _trace_via_server(args: argparse.Namespace) -> int:
         spans = TRACER.drain()
         TRACER.disable()
 
-    spans.extend(span_from_dict(d) for d in reply.get("spans") or [])
+    # a daemon in this process records into the local tracer too: keep
+    # its spans once, in the rows the reply ships them in
+    shipped = [span_from_dict(d) for d in reply.get("spans") or []]
+    seen = {_span_identity(s) for s in shipped}
+    spans = [s for s in spans if _span_identity(s) not in seen]
+    spans.extend(shipped)
     path = write_chrome_trace(output, chrome_trace(
         stitched_trace_events(spans)))
 

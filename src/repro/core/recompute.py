@@ -121,13 +121,22 @@ def apply_recompute(graph: LayerGraph, cost: CostModel, capacity: float,
         raise ValueError("lowering cache does not match the Opt-2 context")
 
     policies = list(policies)
+    # assign_tiers is pure and make_plan copies the placements it is
+    # given, so each policy vector is placed once: an accepted trial's
+    # vector is placed again right after its simulation
+    placed: Dict[Tuple[BlockPolicy, ...], Dict[int, int]] = {}
 
     def place(pols: Sequence[BlockPolicy]) -> Dict[int, int]:
         if hierarchy is None:
             return {}
-        from ..tiering.placement import assign_tiers
-        return assign_tiers(blocks, pols, cost, hierarchy,
-                            policy=placement_policy or "bandwidth").placements
+        key = tuple(pols)
+        placements = placed.get(key)
+        if placements is None:
+            from ..tiering.placement import assign_tiers
+            placements = placed[key] = assign_tiers(
+                blocks, pols, cost, hierarchy,
+                policy=placement_policy or "bandwidth").placements
+        return placements
 
     def simulate(pols: Sequence[BlockPolicy]) -> float:
         try:

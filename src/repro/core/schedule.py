@@ -169,7 +169,9 @@ class Stages(tuple):
     policies and placements the same one):
 
     * ``signature`` — every op as an atomic (kind value, block, src tier,
-      dst tier) tuple, stage by stage, computed on first use;
+      dst tier) tuple, stage by stage: the tuples
+      :func:`~repro.core.stages.generate_stages` built the schedule from,
+      or computed on first use for a schedule built otherwise;
     * ``walked`` — the (policies, placements) that
       :meth:`ExecutionPlan.validate`'s stage walk last passed for.  The
       walk reads nothing else, so a plan with equal policies and

@@ -40,9 +40,10 @@ it is built to be *fast*, not just correct:
 The engine is fully deterministic (no randomness, no wall clock); one
 training iteration of a 64-block plan is a few hundred events, and the
 portfolio search can afford tens of thousands of calls per plan.
-:class:`ScheduleBuilder` is the shared op-emission front end used by the
-plan compilers (:mod:`repro.sim.trainer_sim`,
-:mod:`repro.sim.distributed_sim`).  A :class:`Schedule` is an op
+:class:`ScheduleBuilder` is the op-emission front end of the distributed
+compiler (:mod:`repro.sim.distributed_sim`); the single-worker compiler
+(:mod:`repro.sim.trainer_sim`) assembles its columns from per-op
+templates instead.  A :class:`Schedule` is an op
 stream's cost-free structure; :func:`simulate` prepares one per call,
 while the blocking search keeps one per skeleton and re-prices it with
 :func:`run_schedule`.

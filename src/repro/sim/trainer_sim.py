@@ -29,10 +29,15 @@ Lowering is split in two so the blocking search can batch candidate
 evaluation:
 
 * :func:`compile_skeleton` walks the stage schedule once and produces the
-  *structure* — op roles, resources, labels, resolved dependency ids —
-  which depends only on policies / stage order / which blocks chain
-  through storage, **not** on where the block boundaries sit; prepared
-  once, it becomes the engine's :class:`~repro.sim.engine.Schedule`;
+  *structure* as five columns — op roles, blocks, resources, labels,
+  resolved dependency ids — which depends only on policies / stage order
+  / which blocks chain through storage, **not** on where the block
+  boundaries sit; prepared once, it becomes the engine's
+  :class:`~repro.sim.engine.Schedule`.  Each op is lowered once into a
+  position-free template keyed on its signature and the context it
+  reads; a skeleton is those templates appended in order, plus each
+  swap-in's previous-stage GPU op, with every dependency resolved in one
+  final pass;
 * one role -> cost rule binds durations and acquire/release byte counts
   from a :class:`BlockCosts` into flat per-op lists, which
   :func:`~repro.sim.engine.run_schedule` prices; the report's fields are
@@ -45,10 +50,16 @@ one fixed ``(cost model, capacity, hierarchy)`` planning context, so grid
 points that differ only in margin / placement policy — which very often
 lower to the same plan — are priced at dictionary-lookup cost, and
 boundary candidates that share a policy structure reuse the prepared
-skeleton with re-bound durations, building no per-op object.  Apart from
-one immutable stage schedule per policy vector, it holds scalars, atomic
-keys and int tuples, never an exception, a ``SimResult`` or a plan, so a
-search leaves no cyclic garbage for the collector to walk.
+skeleton with re-bound durations, building no per-op object.  It also
+owns the piece tables every new policy vector is lowered from — the
+interned ``Op``/``Stage`` objects of
+:class:`~repro.core.stages.StagePieces` and the skeleton templates — so
+a vector allocates only the pieces no earlier vector had; without a
+cache the same code runs against fresh tables.  Apart from one immutable
+stage schedule per policy vector and the interned pieces, it holds
+scalars, atomic keys and int tuples, never an exception, a ``SimResult``
+or a plan, so a search leaves no cyclic garbage for the collector to
+walk.
 """
 
 from __future__ import annotations
@@ -56,20 +67,21 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.schedule import (
     BlockPolicy,
     ExecutionPlan,
+    Op,
     OpKind,
     Resource,
     Stages,
 )
+from ..core.stages import StagePieces
 from ..costs.profiler import CostModel
 from ..hardware.tiering import MemoryHierarchy
 from .engine import (
     Schedule,
-    ScheduleBuilder,
     SimOp,
     SimResult,
     SimulationDeadlock,
@@ -228,8 +240,23 @@ _RULE = (
     ("bw", "0", "stash"),          # _ROLE_BW
 )
 
-#: One skeleton op: (role, block, resource, label, resolved dep ids).
-SkeletonOp = Tuple[int, int, str, str, Tuple[int, ...]]
+#: A skeleton as its five columns, one entry per op in emission order:
+#: roles, blocks, resources, labels and resolved dependency ids.
+Skeleton = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[str, ...],
+                 Tuple[str, ...], Tuple[Tuple[int, ...], ...]]
+
+#: One plan op lowered without its position: the (role, resource, label,
+#: dependency specs) of the skeleton op it emits; for a swap chained to
+#: storage, the (role, resource, label) of a second op that depends on the
+#: first, else None; the symbolic key of the last op (both ops are on its
+#: block); and whether the op is a GPU op, a swap-in and a recompute.  A
+#: spec is a symbolic key.
+_Template = Tuple[int, str, str, Tuple[Tuple[str, int], ...],
+                  Optional[Tuple[int, str, str]], Tuple[str, int],
+                  bool, bool, bool]
+
+#: The dependency specs of a chained swap's second op: the op before it.
+_PREVIOUS = (-1,)
 
 #: A skeleton prepared for pricing: per-op roles and blocks, plus the
 #: engine's :class:`~repro.sim.engine.Schedule` (queues, deps, labels).
@@ -237,6 +264,13 @@ _Lowered = Tuple[Tuple[int, ...], Tuple[int, ...], Schedule]
 
 #: Per-op (durations, acquires, releases) of one bound skeleton.
 _Bound = Tuple[List[float], List[int], List[int]]
+
+# resource names and policies, read once: Enum attribute access is a
+# descriptor call, and a template is built per distinct op
+_GPU, _D2H, _H2D = Resource.GPU.value, Resource.D2H.value, Resource.H2D.value
+_D2S, _S2D = Resource.D2S.value, Resource.S2D.value
+_SWAPPED, _RECOMPUTED, _CHECKPOINTED = (
+    BlockPolicy.SWAPPED, BlockPolicy.RECOMPUTED, BlockPolicy.CHECKPOINTED)
 
 
 def plan_structure_key(plan: ExecutionPlan, costs: BlockCosts,
@@ -262,9 +296,96 @@ def plan_structure_key(plan: ExecutionPlan, costs: BlockCosts,
             chained_in, prefetch_lookahead)
 
 
+def _template_key(sig: Tuple, policies: Sequence[BlockPolicy], n: int,
+                  lookahead: int, chained: bool) -> Tuple:
+    """Everything :func:`_template` reads for the op ``sig``: the
+    signature, the block's policy, the previous block's policy for a
+    recompute (its source), whether a next block and a lookahead block
+    exist, and whether the op is chained to storage.  Policies enter as
+    their value strings, so the key is atomic and the collector untracks
+    it."""
+    b = sig[1]
+    return (sig, policies[b]._value_,
+            policies[b - 1]._value_ if sig[0] == "R" and b > 0 else None,
+            b + 1 < n, lookahead, b + lookahead < n, chained)
+
+
+def _template(sig: Tuple, policies: Sequence[BlockPolicy], n: int,
+              lookahead: int, chained: bool) -> _Template:
+    """Lower one plan op apart from its position (see
+    :func:`compile_skeleton`)."""
+    kind, b = sig[0], sig[1]
+    policy = policies[b]
+    if kind == "F":
+        # RECOMPUTED blocks drop their whole stash after forward;
+        # CHECKPOINTED blocks keep only their output boundary
+        role = (_ROLE_FW_DROP if policy is _RECOMPUTED
+                else _ROLE_FW_CKPT if policy is _CHECKPOINTED
+                else _ROLE_FW_KEEP)
+        return (role, _GPU, f"F{b + 1}",
+                (("F", b - 1),) if b > 0 else (), None, ("F", b),
+                True, False, False)
+    if kind == "Sout":
+        if chained:
+            # chained demotion: D2H stages into the DRAM bounce buffer
+            # (stash leaves the device ledger here), then the storage
+            # write occupies the exclusive D2S link
+            return (_ROLE_SOUT, _D2H, f"Sout{b + 1}", (("F", b),),
+                    (_ROLE_SOUT_STORE, _D2S, _op_label(sig)), ("Sout", b),
+                    False, False, False)
+        return (_ROLE_SOUT, _D2H, f"Sout{b + 1}", (("F", b),), None,
+                ("Sout", b), False, False, False)
+    if kind == "Sin":
+        # the previous stage's last GPU op joins these deps at assembly
+        deps: Tuple[Tuple[str, int], ...] = (("Sout", b),)
+        if lookahead and b + lookahead < n:
+            deps += (("B", b + lookahead),)
+        if chained:
+            # chained promotion: the storage read (S2D) lands in DRAM
+            # first; only the H2D hop claims device memory
+            return (_ROLE_SIN_STORE, _S2D, _op_label(sig), deps,
+                    (_ROLE_SIN, _H2D, f"Sin{b + 1}"), ("Sin", b),
+                    False, True, False)
+        return (_ROLE_SIN, _H2D, f"Sin{b + 1}", deps, None, ("Sin", b),
+                False, True, False)
+    if kind == "R":
+        # the recompute's input: the previous block's output, re-derived,
+        # swapped back in, or kept since forward
+        prev = b - 1
+        if prev < 0:
+            source: Tuple[Tuple[str, int], ...] = ()
+        elif policies[prev] is _RECOMPUTED:
+            source = (("R", prev),)
+        elif policies[prev] is _SWAPPED:
+            source = (("Sin", prev),)
+        else:  # RESIDENT, or CHECKPOINTED (boundary survived)
+            source = (("F", prev),)
+        role = _ROLE_RC_CKPT if policy is _CHECKPOINTED else _ROLE_RC
+        return (role, _GPU, f"F{b + 1}", source, None, ("R", b),
+                True, False, True)
+    if kind == "B":
+        deps = (("B", b + 1),) if b + 1 < n else ()
+        if policy is _SWAPPED:
+            deps += (("Sin", b),)
+        elif policy is _RECOMPUTED or policy is _CHECKPOINTED:
+            deps += (("R", b),)
+        else:
+            deps += (("F", b),)
+        return (_ROLE_BW, _GPU, f"B{b + 1}", deps, None, ("B", b),
+                True, False, False)
+    raise ValueError(f"single-worker plans cannot contain {OpKind(kind)}")
+
+
+def _op_label(sig: Tuple) -> str:
+    """Paper notation of the op ``sig``, tier suffix included."""
+    return Op(OpKind(sig[0]), *sig[1:]).label()
+
+
 def compile_skeleton(plan: ExecutionPlan, costs: BlockCosts,
-                     prefetch_lookahead: int = 3) -> Tuple[SkeletonOp, ...]:
-    """Lower the stage schedule to a cost-free op skeleton.
+                     prefetch_lookahead: int = 3,
+                     templates: Optional[Dict[Tuple, _Template]] = None
+                     ) -> Skeleton:
+    """Lower the stage schedule to a cost-free op skeleton, as columns.
 
     Two throttles shape swap-in timing, both mirroring the paper's runtime:
 
@@ -280,130 +401,103 @@ def compile_skeleton(plan: ExecutionPlan, costs: BlockCosts,
     plus a storage-link hop on the exclusive ``d2s``/``s2d`` resources —
     so one plan-level op may produce two skeleton ops.  Symbolic keys
     (``(kind letter, block)`` tuples) always point at the *final* hop (the
-    one downstream deps must wait for); the
-    :class:`~repro.sim.engine.ScheduleBuilder` resolves them against the
-    final key map.  Labels are the paper notation of the plan's ops
-    (the storage hop carries the tier suffix).
+    one downstream deps must wait for) and are resolved against the final
+    key map.  Labels are the paper notation of the plan's ops (the
+    storage hop carries the tier suffix).
+
+    Each op is lowered once into a position-free template, keyed on its
+    signature and the context it reads (:func:`_template_key`), and kept
+    in ``templates`` — the search's :class:`LoweringCache` shares one
+    table across every policy vector, and a fresh table is used when
+    None.  Assembly appends the templates' columns, adds the one
+    positional dependency (a swap-in's previous-stage GPU op) and
+    resolves every symbolic dependency in one final pass.
     """
-    builder = ScheduleBuilder()
-    emit = builder.emit
-    roles: List[int] = []
-    blocks: List[int] = []
+    if templates is None:
+        templates = {}
+    template_of = templates.get
     n = plan.num_blocks
     policies = plan.policies
     placements = plan.placements
-    gpu, d2h, h2d = Resource.GPU.value, Resource.D2H.value, Resource.H2D.value
-    d2s, s2d = Resource.D2S.value, Resource.S2D.value
-    recomputed, checkpointed = BlockPolicy.RECOMPUTED, BlockPolicy.CHECKPOINTED
-
+    roles: List[int] = []
+    blocks: List[int] = []
+    resources: List[str] = []
+    labels: List[str] = []
+    specs: List[Tuple[Any, ...]] = []
+    ids: Dict[Tuple[str, int], int] = {}
+    required: Set[int] = set()   # recomputes: every dep must resolve
     last_gpu_prev_stages: Optional[Tuple[str, int]] = None
-    for stage in plan.stages:
+    for stage in plan.stages.signature:
         stage_gpu: Optional[Tuple[str, int]] = None
-        for op in stage.ops:
-            kind = op.kind
-            b = op.block
-            policy = policies[b]
-            if kind is OpKind.FORWARD:
-                # RECOMPUTED blocks drop their whole stash after forward;
-                # CHECKPOINTED blocks keep only their output boundary
-                if policy is recomputed:
-                    roles.append(_ROLE_FW_DROP)
-                elif policy is checkpointed:
-                    roles.append(_ROLE_FW_CKPT)
-                else:
-                    roles.append(_ROLE_FW_KEEP)
+        for sig in stage:
+            chained = False
+            if placements:
+                kind, b = sig[0], sig[1]
+                if kind == "Sout":
+                    chained = placements.get(b, 1) >= 2 \
+                        and costs.storage_out(b) > 0
+                elif kind == "Sin":
+                    chained = placements.get(b, 1) >= 2 \
+                        and costs.storage_in(b) > 0
+            key = _template_key(sig, policies, n, prefetch_lookahead,
+                                chained)
+            template = template_of(key)
+            if template is None:
+                template = templates[key] = _template(
+                    sig, policies, n, prefetch_lookahead, chained)
+            (role, resource, label, spec, second, t_key,
+             gpu, swap_in, recompute) = template
+            b = t_key[1]
+            if recompute:
+                required.add(len(roles))
+            if swap_in and last_gpu_prev_stages is not None:
+                spec = spec[:1] + (last_gpu_prev_stages,) + spec[1:]
+            roles.append(role)
+            blocks.append(b)
+            resources.append(resource)
+            labels.append(label)
+            specs.append(spec)
+            if second is not None:
+                roles.append(second[0])
                 blocks.append(b)
-                stage_gpu = ("F", b)
-                emit(gpu, 0.0, key=stage_gpu,
-                     deps=(("F", b - 1),) if b > 0 else (),
-                     label=f"F{b + 1}")
-            elif kind is OpKind.SWAP_OUT:
-                if placements.get(b, 1) >= 2 and costs.storage_out(b) > 0:
-                    # chained demotion: D2H stages into the DRAM bounce
-                    # buffer (stash leaves the device ledger here), then
-                    # the storage write occupies the exclusive D2S link
-                    roles += (_ROLE_SOUT, _ROLE_SOUT_STORE)
-                    blocks += (b, b)
-                    host_hop = emit(d2h, 0.0, deps=(("F", b),),
-                                    label=f"Sout{b + 1}")
-                    emit(d2s, 0.0, key=("Sout", b), deps=(host_hop,),
-                         label=op.label())
-                else:
-                    roles.append(_ROLE_SOUT)
-                    blocks.append(b)
-                    emit(d2h, 0.0, key=("Sout", b), deps=(("F", b),),
-                         label=f"Sout{b + 1}")
-            elif kind is OpKind.SWAP_IN:
-                deps: List[Tuple[str, int]] = [("Sout", b)]
-                if last_gpu_prev_stages is not None:
-                    deps.append(last_gpu_prev_stages)
-                if prefetch_lookahead and b + prefetch_lookahead < n:
-                    deps.append(("B", b + prefetch_lookahead))
-                if placements.get(b, 1) >= 2 and costs.storage_in(b) > 0:
-                    # chained promotion: the storage read (S2D) lands in
-                    # DRAM first; only the H2D hop claims device memory
-                    roles += (_ROLE_SIN_STORE, _ROLE_SIN)
-                    blocks += (b, b)
-                    storage_hop = emit(
-                        s2d, 0.0, deps=deps,
-                        label=op.label())
-                    emit(h2d, 0.0, key=("Sin", b), deps=(storage_hop,),
-                         label=f"Sin{b + 1}")
-                else:
-                    roles.append(_ROLE_SIN)
-                    blocks.append(b)
-                    emit(h2d, 0.0, key=("Sin", b), deps=deps,
-                         label=f"Sin{b + 1}")
-            elif kind is OpKind.RECOMPUTE:
-                # the recompute's input: the previous block's output,
-                # re-derived, swapped back in, or kept since forward
-                prev = b - 1
-                if prev < 0:
-                    source: Tuple[Tuple[str, int], ...] = ()
-                elif policies[prev] is recomputed:
-                    source = (("R", prev),)
-                elif policies[prev] is BlockPolicy.SWAPPED:
-                    source = (("Sin", prev),)
-                else:  # RESIDENT, or CHECKPOINTED (boundary survived)
-                    source = (("F", prev),)
-                roles.append(_ROLE_RC_CKPT if policy is checkpointed
-                             else _ROLE_RC)
-                blocks.append(b)
-                stage_gpu = ("R", b)
-                emit(gpu, 0.0, key=stage_gpu, deps=source,
-                     label=f"F{b + 1}", require_deps=True)
-            elif kind is OpKind.BACKWARD:
-                deps = [("B", b + 1)] if b + 1 < n else []
-                if policy is BlockPolicy.SWAPPED:
-                    deps.append(("Sin", b))
-                elif policy is recomputed or policy is checkpointed:
-                    deps.append(("R", b))
-                else:
-                    deps.append(("F", b))
-                roles.append(_ROLE_BW)
-                blocks.append(b)
-                stage_gpu = ("B", b)
-                emit(gpu, 0.0, key=stage_gpu, deps=deps,
-                     label=f"B{b + 1}")
-            else:
-                raise ValueError(f"single-worker plans cannot contain "
-                                 f"{op.kind}")
+                resources.append(second[1])
+                labels.append(second[2])
+                specs.append(_PREVIOUS)
+            ids[t_key] = len(roles) - 1
+            if gpu:
+                stage_gpu = t_key
         if stage_gpu is not None:
             last_gpu_prev_stages = stage_gpu
 
-    return tuple(zip(roles, blocks, builder.resources, builder.labels,
-                     builder.resolve()))
+    resolve = ids.__getitem__
+    try:
+        deps = tuple([tuple(map(resolve, spec)) for spec in specs])
+    except KeyError:   # a chained op's relative dep, or a missing key
+        deps = tuple([_resolve(i, spec, ids, i in required, labels)
+                      for i, spec in enumerate(specs)])
+    return tuple(roles), tuple(blocks), tuple(resources), tuple(labels), deps
 
 
-def _columns(skeleton: Sequence[SkeletonOp]) -> Tuple[Tuple, ...]:
-    """The skeleton's (roles, blocks, resources, labels, deps) columns."""
-    return tuple(zip(*skeleton)) or ((),) * 5
+def _resolve(i: int, spec: Tuple[Any, ...], ids: Dict[Tuple[str, int], int],
+             required: bool, labels: Sequence[str]) -> Tuple[int, ...]:
+    """Op ``i``'s dependency ids when some spec is relative or never
+    emitted: a never-emitted key is dropped, unless ``required``."""
+    resolved: List[int] = []
+    for d in spec:
+        if isinstance(d, int):
+            resolved.append(i + d)
+        elif d in ids:
+            resolved.append(ids[d])
+        elif required:
+            raise SimulationDeadlock(
+                f"op {labels[i] or i} depends on never-emitted key {d!r}")
+    return tuple(resolved)
 
 
-def _lower(skeleton: Sequence[SkeletonOp]) -> _Lowered:
+def _lower(skeleton: Skeleton) -> _Lowered:
     """Prepare a skeleton for pricing: what a :class:`LoweringCache`
     keeps per structure key."""
-    roles, blocks, resources, labels, deps = _columns(skeleton)
+    roles, blocks, resources, labels, deps = skeleton
     return roles, blocks, Schedule(resources, deps, labels)
 
 
@@ -439,17 +533,18 @@ def _bind(roles: Sequence[int], blocks: Sequence[int],
     return durations, acquires, releases
 
 
-def _sim_ops(skeleton: Sequence[SkeletonOp], bound: _Bound) -> List[SimOp]:
-    return [SimOp(op_id=i, resource=resource, duration=duration, deps=deps,
+def _sim_ops(skeleton: Skeleton, bound: _Bound) -> List[SimOp]:
+    _, _, resources, labels, deps = skeleton
+    return [SimOp(op_id=i, resource=resource, duration=duration, deps=dep,
                   mem_acquire=acquire, mem_release=release, label=label)
-            for i, ((_, _, resource, label, deps), duration, acquire,
-                    release) in enumerate(zip(skeleton, *bound))]
+            for i, (resource, label, dep, duration, acquire, release)
+            in enumerate(zip(resources, labels, deps, *bound))]
 
 
-def bind_costs(skeleton: Sequence[SkeletonOp],
-               costs: BlockCosts) -> List[SimOp]:
-    """Stamp durations and byte counts from ``costs`` onto a skeleton."""
-    roles, blocks, _, labels, _ = _columns(skeleton)
+def bind_costs(skeleton: Skeleton, costs: BlockCosts) -> List[SimOp]:
+    """Stamp durations and byte counts from ``costs`` onto a skeleton's
+    columns."""
+    roles, blocks, _, labels, _ = skeleton
     return _sim_ops(skeleton, _bind(roles, blocks, labels, costs))
 
 
@@ -492,14 +587,25 @@ class LoweringCache:
       vector share one immutable :class:`~repro.core.schedule.Stages`,
       which carries its stage signature and validation walk.
 
+    Two piece tables, which are not LRU layers, lower every new policy
+    vector:
+
+    * ``pieces`` — the :class:`~repro.core.stages.StagePieces` that
+      :func:`~repro.core.stages.generate_stages` takes each ``Op`` and
+      ``Stage`` from, interned by content;
+    * ``templates`` — :func:`compile_skeleton`'s per-op templates, keyed
+      on an op's signature and the context it reads.
+
+    Both grow only with the distinct pieces of one model's plans and die
+    with the cache, which ``plan()`` creates and drops.
+
     Layers hold scalars and atomic keys; an infeasible outcome is kept as
     its message and re-raised fresh, never as the exception (whose
     traceback pins the search frames, and through them this cache).
     Instances are bound to their ``(cost, capacity, hierarchy)`` triple;
     :func:`simulate_plan` refuses a cache built for a different context
     (a silent key collision would return wrong prices).  All layers are
-    LRU-bounded.  Safe to pickle (fork-based portfolio workers each carry
-    their own copy).
+    LRU-bounded.  Instances pickle.
     """
 
     def __init__(self, cost: CostModel, capacity: float,
@@ -511,13 +617,14 @@ class LoweringCache:
         self.max_entries = max_entries
         self._costs: "OrderedDict[Tuple, BlockCosts]" = OrderedDict()
         self._ledgers: "OrderedDict[Tuple, Union[int, str]]" = OrderedDict()
-        self._skeletons: "OrderedDict[Tuple, Tuple[SkeletonOp, ...]]" = \
-            OrderedDict()
+        self._skeletons: "OrderedDict[Tuple, _Lowered]" = OrderedDict()
         self._results: "OrderedDict[Tuple, Union[_Timing, str]]" = \
             OrderedDict()
         self._schedules: "OrderedDict[Tuple, Tuple[Stages, Dict[int, int]]]" \
             = OrderedDict()
         self._workspace: Dict[Tuple[int, int], int] = {}
+        self.pieces = StagePieces()
+        self.templates: Dict[Tuple, _Template] = {}
         self.hits = 0            # result-level hits (sim fully skipped)
         self.misses = 0          # result-level misses (sim actually ran)
         self.skeleton_hits = 0   # re-binds that skipped stage lowering
@@ -596,7 +703,8 @@ class LoweringCache:
         lowered = self._get(self._skeletons, structure_key)
         if lowered is None:
             lowered = _lower(compile_skeleton(plan, costs,
-                                              prefetch_lookahead))
+                                              prefetch_lookahead,
+                                              self.templates))
             self._put(self._skeletons, structure_key, lowered,
                       self.max_entries)
         else:

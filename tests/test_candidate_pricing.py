@@ -23,6 +23,7 @@ from repro.hardware.tiering import abci_hierarchy
 from repro.models import build
 from repro.sim import LoweringCache, simulate_plan, trainer_sim
 from repro.sim.engine import OpTiming, SimOp
+from repro.tiering import placement
 
 S, R, K = BlockPolicy.SWAPPED, BlockPolicy.RECOMPUTED, BlockPolicy.RESIDENT
 
@@ -95,6 +96,23 @@ def test_opt2_on_a_dram_only_plan_prices_block_costs_once():
                                  placement_policy=blocking.placement_policy)
     assert result.flipped and priced.call_count > 2
     assert costs.call_count == 1
+
+
+def test_opt2_places_each_policy_vector_once():
+    graph = build("vgg16")
+    hierarchy = abci_hierarchy()
+    kp = plan(graph, 256, hierarchy=hierarchy, recompute=False)
+    blocking = kp.blocking
+    with mock.patch.object(placement, "assign_tiers",
+                           wraps=placement.assign_tiers) as placed:
+        result = apply_recompute(graph, kp.cost, kp.capacity, graph.name,
+                                 256, blocking.blocks, blocking.policies,
+                                 hierarchy=hierarchy,
+                                 placement_policy=blocking.placement_policy)
+    vectors = [tuple(call.args[1]) for call in placed.call_args_list]
+    # an accepted trial's vector is the next pass's current one
+    assert result.flipped and len(vectors) > 2
+    assert len(vectors) == len(set(vectors))
 
 
 @pytest.mark.parametrize("tier", [1, 2])

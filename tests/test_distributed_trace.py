@@ -399,6 +399,10 @@ class TestCli:
                  and e["pid"] == pid_of["daemon"]
                  and e["name"].startswith("opt1.eval[")]
         assert evals
+        # the in-process daemon's spans are not reported twice
+        assert not [e for e in doc["traceEvents"] if e.get("ph") == "X"
+                    and e["pid"] == pid_of["client"]
+                    and e["name"].startswith("opt1.eval[")]
         ids = {e["args"]["trace_id"] for e in doc["traceEvents"]
                if e.get("ph") == "X" and "trace_id" in e.get("args", {})}
         assert len(ids) == 1

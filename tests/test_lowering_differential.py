@@ -14,6 +14,13 @@ The draws cover all four policies (recompute chains included), the three
 prefetch modes, DRAM and NVMe placements with and without a hierarchy,
 blocks whose costs are forced to zero (zero-duration ops, empty stashes)
 and stash ledgers small enough to deadlock.
+
+A search lowers every new policy vector from the piece tables of one
+``LoweringCache`` (interned ops and stages, per-op skeleton templates),
+so a second test pushes a sequence of search-like steps through one
+cache and holds each vector to a fresh lowering and to the reference.
+Planted key bugs — a template key without the recompute source's policy
+or the chained flag, an op key without the tier — must fail that check.
 """
 
 from __future__ import annotations
@@ -23,12 +30,13 @@ import functools
 from contextlib import ExitStack
 from unittest import mock
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import make_plan
 from repro.core.schedule import BlockPolicy, ExecutionPlan, Op, OpKind, Stage
-from repro.core.stages import generate_stages
+from repro.core.stages import StagePieces, generate_stages
 from repro.costs import profile_graph
 from repro.hardware import TransferModel, abci_host, karma_swap_link
 from repro.hardware.spec import v100_sxm2_16gb
@@ -177,11 +185,187 @@ def test_pricing_matches_reference(case):
 
             costs = trainer_sim.block_costs(plan.blocks, cost, hierarchy,
                                             plan.placements)
-            skeleton = compile_skeleton(plan, costs)
+            skeleton = tuple(zip(*compile_skeleton(plan, costs)))
             assert skeleton == ref.compile_skeleton(plan, costs)
             key = plan_structure_key(plan, costs)
             assert key == ref.plan_structure_key(plan, costs)
             assert _rows(cache._skeletons[key]) == skeleton
+
+
+def _zeroing_starts(original, starts, zero_bytes):
+    """``block_costs`` with every block that starts at a layer in
+    ``starts`` zeroed as by :func:`_zeroing`: a stash's storage hops
+    vanish under one partition and not under another."""
+    def wrapped(blocks, *args, **kwargs):
+        zero = {i for i, (s, _) in enumerate(blocks) if s in starts}
+        return _zeroing(original, zero, zero_bytes)(blocks, *args, **kwargs)
+    return wrapped
+
+
+def _signature_of(stages):
+    return tuple(tuple((op.kind.value, op.block, op.src_tier, op.dst_tier)
+                       for op in stage.ops) for stage in stages)
+
+
+def _check_sequence(name, hierarchy, capacity, starts, zero_bytes,
+                    vectors):
+    """Lower and price every (partition, policies, placements, prefetch)
+    vector through one ``LoweringCache``, holding each to a fresh lowering
+    and to the reference."""
+    graph, cost = _context(name)
+    cache = LoweringCache(cost, capacity, hierarchy)
+    with ExitStack() as patches:
+        for module in (trainer_sim, ref):
+            patches.enter_context(mock.patch.object(
+                module, "block_costs",
+                _zeroing_starts(module.block_costs, starts, zero_bytes)))
+        for blocks, policies, placements, prefetch in vectors:
+            shared, fresh = (make_plan(graph.name, 8, blocks, policies,
+                                       prefetch=prefetch,
+                                       placements=placements,
+                                       lowering=lowering)
+                             for lowering in (cache, None))
+            untiered, _ = generate_stages(policies, prefetch)
+            assert shared.stages == fresh.stages == \
+                ref._qualify_tiers(untiered, placements)
+            assert shared.plan_string() == fresh.plan_string()
+            assert shared.stages.signature == fresh.stages.signature == \
+                _signature_of(shared.stages)
+
+            priced = _outcome(lambda: simulate_plan(
+                shared, cost, capacity, hierarchy=hierarchy, cache=cache))
+            plain = _outcome(lambda: simulate_plan(fresh, cost, capacity,
+                                                   hierarchy=hierarchy))
+            expect = _outcome(lambda: ref.reference_simulate_plan(
+                fresh, cost, capacity, hierarchy))
+            if expect[0] != "ok":
+                assert priced == plain == expect
+            else:
+                assert _fields(priced[1]) == _fields(plain[1]) == \
+                    [repr(v) for v in expect[1][1]]
+
+            costs = trainer_sim.block_costs(blocks, cost, hierarchy,
+                                            shared.placements)
+            rows = ref.compile_skeleton(fresh, costs)
+            columns = compile_skeleton(shared, costs,
+                                       templates=cache.templates)
+            assert tuple(zip(*columns)) == rows
+            assert tuple(zip(*compile_skeleton(fresh, costs))) == rows
+            key = plan_structure_key(shared, costs)
+            assert key == plan_structure_key(fresh, costs) == \
+                ref.plan_structure_key(fresh, costs)
+            if key in cache._skeletons:
+                assert _rows(cache._skeletons[key]) == rows
+
+
+@st.composite
+def sequences(draw):
+    """A pricing context and a sequence of vectors over one block count:
+    small counts, so later vectors meet the pieces of earlier ones in
+    new surroundings."""
+    name = draw(st.sampled_from(("cnn", "unet")))
+    graph, cost = _context(name)
+    k = draw(st.integers(1, 5))
+
+    def placed(policies):
+        return {b: draw(st.sampled_from((1, 2)))
+                for b, p in enumerate(policies)
+                if p is S and draw(st.booleans())}
+
+    policies = draw(st.lists(st.sampled_from(POLICIES), min_size=k,
+                             max_size=k))
+    blocks, placements = _partition(draw, len(graph), k), placed(policies)
+    vectors = []
+    for _ in range(draw(st.integers(2, 6))):
+        # a search step: move boundaries, flip one policy, or re-place
+        step = draw(st.sampled_from(("blocks", "policy", "placements")))
+        if step == "blocks":
+            blocks = _partition(draw, len(graph), k)
+        elif step == "policy":
+            policies = list(policies)
+            policies[draw(st.integers(0, k - 1))] = \
+                draw(st.sampled_from(POLICIES))
+            placements = {b: t for b, t in placements.items()
+                          if policies[b] is S}
+        else:
+            placements = placed(policies)
+        vectors.append((blocks, policies, placements, draw(st.sampled_from(
+            ("eager", "one_ahead", "none")))))
+    hierarchy = abci_hierarchy() if draw(st.booleans()) else None
+    slack = draw(st.sampled_from((None, 0.0, 0.6, 3.0)))
+    if slack is None:
+        capacity = 16e9
+    else:
+        workspace = max(cost.block_memory(s, e).peak_workspace
+                        for blocks, *_ in vectors for s, e in blocks)
+        capacity = float(cost.persistent_bytes() + workspace
+                         + slack * cost.total_activation_bytes / k)
+    starts = draw(st.sets(st.sampled_from(sorted(
+        {s for blocks, *_ in vectors for s, _ in blocks}))))
+    return name, hierarchy, capacity, starts, draw(st.booleans()), vectors
+
+
+@given(case=sequences())
+def test_shared_piece_tables_match_fresh_lowering(case):
+    _check_sequence(*case)
+
+
+TEMPLATE_KEY = trainer_sim._template_key
+PIECES_INIT = StagePieces.__init__
+
+
+def _key_without_source(sig, policies, n, lookahead, chained):
+    b = sig[1]
+    return (sig, policies[b].value, b + 1 < n, lookahead, b + lookahead < n,
+            chained)
+
+
+def _key_without_chained(sig, policies, n, lookahead, chained):
+    return TEMPLATE_KEY(sig, policies, n, lookahead, False)
+
+
+class _OpsByBlock(dict):
+    """An op table that keys an op on its (kind, block) alone."""
+
+    def get(self, sig, default=None):
+        return super().get(sig[:2], default)
+
+    def __setitem__(self, sig, op):
+        super().__setitem__(sig[:2], op)
+
+
+def _op_without_tier(self):
+    PIECES_INIT(self)
+    self.ops = _OpsByBlock()
+
+
+K = BlockPolicy.RESIDENT
+NO_HIERARCHY = ("cnn", None, 16e9, (), False)
+#: Two partitions of the small CNN; block 1 starts at layer 4 in the
+#: first, whose start is zeroed, so its storage hops vanish there.
+SPLITS = ([(0, 4), (4, 16)], [(0, 6), (6, 16)])
+
+
+@pytest.mark.parametrize("target, name, bug, context, vectors", [
+    # R2's source is F1, then Sin1
+    (trainer_sim, "_template_key", _key_without_source, NO_HIERARCHY,
+     [(SPLITS[1], [K, R], {}, "eager"), (SPLITS[1], [S, R], {}, "eager")]),
+    # Sout2@t2 chains to storage under the second partition only
+    (trainer_sim, "_template_key", _key_without_chained,
+     ("cnn", abci_hierarchy(), 16e9, {4}, False),
+     [(split, [K, S], {1: 2}, "eager") for split in SPLITS]),
+    # Sout1 untiered, then tier-qualified to DRAM: both validate
+    (StagePieces, "__init__", _op_without_tier, NO_HIERARCHY,
+     [(SPLITS[0], [S, K], placements, "eager")
+      for placements in ({}, {0: 1})]),
+], ids=["template-key-omits-source", "template-key-omits-chained",
+        "op-key-omits-tier"])
+def test_planted_piece_key_bugs_fail_the_check(monkeypatch, target, name,
+                                               bug, context, vectors):
+    _check_sequence(*context, vectors)
+    monkeypatch.setattr(target, name, bug)
+    with pytest.raises(AssertionError):
+        _check_sequence(*context, vectors)
 
 
 @given(policies=st.lists(st.sampled_from(POLICIES), min_size=1,

@@ -122,27 +122,29 @@ def test_makespan_memo_value_transparent(unet_context):
 
 def test_search_caches_hold_no_simulations_plans_or_exceptions(
         unet_context):
-    """Only the schedules layer may hold stages — one immutable schedule
-    per policy vector, shared by its candidates' plans — and no layer
-    holds anything else heavy."""
+    """Only the schedules layer and the piece table may hold stages — one
+    immutable schedule per policy vector, shared by its candidates'
+    plans, and the interned ops and stages schedules are built from —
+    and no layer holds anything else heavy."""
     *_, grid = unet_context
     evaluator = _evaluator(unet_context)
     for point in grid:
         evaluator.safe(*point)
     lowering = evaluator.lowering
-    schedules = lowering._schedules
-    assert schedules
-    lowering._schedules = {}
+    schedules, pieces = lowering._schedules, lowering.pieces
+    assert schedules and pieces.stages
+    lowering._schedules, lowering.pieces = {}, None
     try:
         held = _reachable(evaluator._realize_cache, evaluator._place_cache,
                           evaluator._plan_cache, lowering)
     finally:
-        lowering._schedules = schedules
+        lowering._schedules, lowering.pieces = schedules, pieces
     heavy = sorted({type(o).__name__ for o in held if isinstance(o, HEAVY)})
     assert heavy == []
-    in_schedules = sorted({type(o).__name__ for o in _reachable(schedules)
+    for layer in (schedules, pieces):
+        in_layer = sorted({type(o).__name__ for o in _reachable(layer)
                            if isinstance(o, HEAVY)})
-    assert in_schedules == ["Stage"]
+        assert in_layer == ["Stage"]
 
 
 def test_finished_plans_leave_no_heavy_cyclic_garbage():
