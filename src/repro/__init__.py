@@ -16,12 +16,28 @@ Public entry points:
   hierarchies (ZeRO-Infinity-style tiered offload).
 * :mod:`repro.cache` — the content-addressed plan cache backing the
   ``python -m repro plan`` planning service (:mod:`repro.cli`).
+
+Subpackages load on first use: ``import repro`` imports none of them,
+and ``repro.sim`` (or ``from repro import *``) imports that one on
+first access (PEP 562), so an entry point pays only for what it uses.
 """
 
-__version__ = "1.0.0"
+import importlib
 
-from . import baselines, cache, core, costs, data, distributed, eval, graph, hardware, models, nn, runtime, sim, tiering
+__version__ = "1.0.0"
 
 __all__ = ["baselines", "cache", "core", "costs", "data", "distributed",
            "eval", "graph", "hardware", "models", "nn", "runtime", "sim",
            "tiering", "__version__"]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        # import_module binds the subpackage as an attribute of this
+        # module, so later lookups never come back here
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

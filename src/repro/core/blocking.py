@@ -169,13 +169,10 @@ def build_inputs(graph: LayerGraph, cost: CostModel,
     persistent = cost.persistent_bytes()
     workspace = max((cost.block_memory(s, e).peak_workspace
                      for s, e in segments), default=0)
-    # pinned long-skip activations count against the ledger permanently
-    whole = [(0, len(graph))]
-    pinned = sum(pinned_bytes_per_block(graph, whole, cost))
-    ledger = int(capacity - persistent - workspace - pinned)
+    ledger = int(capacity - persistent - workspace)
     if ledger <= 0:
         raise ValueError(
-            f"model persistent state ({persistent + workspace + pinned} B) "
+            f"model persistent state ({persistent + workspace} B) "
             f"exceeds device capacity ({int(capacity)} B); out-of-core "
             "activation swapping cannot help — weights must be distributed")
     return BlockingInputs(segments=segments, seg_fw=seg_fw, seg_bw=seg_bw,

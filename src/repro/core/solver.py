@@ -39,7 +39,6 @@ from typing import (
 )
 
 import numpy as np
-from scipy import optimize, sparse
 
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACER
@@ -171,8 +170,11 @@ def solve_ilp(problem: PartitionProblem,
 
     Nodes are (a, b) block states plus a source and sink; each unit-flow arc
     selects a block transition.  Intended for modest segment counts (the
-    cross-validation role); use :func:`solve_dp` at scale.
+    cross-validation role); use :func:`solve_dp` at scale.  SciPy is
+    imported here, so the planner, which never calls this, does not load it.
     """
+    from scipy import optimize, sparse
+
     u = problem.num_segments
     nodes: List[Tuple[int, int]] = []
     node_id: Dict[Tuple[int, int], int] = {}

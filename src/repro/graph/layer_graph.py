@@ -19,8 +19,6 @@ from enum import Enum
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-import networkx as nx
-
 if TYPE_CHECKING:
     from ..costs.profiler import StaticProfile
 
@@ -121,13 +119,19 @@ class LayerGraph:
     makes the graph immutable, so it can be shared process-wide.  The
     memos are filled without a lock: threads racing on a first use each
     compute an equal value and one of them is kept.
+
+    Edges live in two insertion-ordered dicts used as ordered sets
+    (``_succ[u]`` holds ``u``'s consumers, ``_pred[v]`` its inputs), so
+    :meth:`edges` lists them by source, then by when each was added, and
+    a layer that names the same input twice gets one edge.
     """
 
     def __init__(self, name: str):
         self.name = name
         self._layers: List[LayerSpec] = []
         self._index: Dict[str, int] = {}
-        self._g = nx.DiGraph()
+        self._succ: Dict[str, Dict[str, None]] = {}
+        self._pred: Dict[str, Dict[str, None]] = {}
         self._frozen = False
         self._forget()
 
@@ -154,9 +158,10 @@ class LayerGraph:
         self._forget()
         self._index[spec.name] = len(self._layers)
         self._layers.append(spec)
-        self._g.add_node(spec.name)
+        self._succ[spec.name] = {}
+        self._pred[spec.name] = dict.fromkeys(inputs)
         for src in inputs:
-            self._g.add_edge(src, spec.name)
+            self._succ[src][spec.name] = None
         return spec
 
     def freeze(self) -> "LayerGraph":
@@ -187,31 +192,27 @@ class LayerGraph:
         return self._layers[self._index[name]]
 
     def predecessors(self, name: str) -> List[str]:
-        return sorted(self._g.predecessors(name), key=self.index_of)
+        return sorted(self._pred[name], key=self.index_of)
 
     def successors(self, name: str) -> List[str]:
-        return sorted(self._g.successors(name), key=self.index_of)
+        return sorted(self._succ[name], key=self.index_of)
 
     def edges(self) -> List[Tuple[str, str]]:
-        return [(u, v) for u, v in self._g.edges()]
-
-    @property
-    def nx_graph(self) -> nx.DiGraph:
-        return self._g.copy()
+        return [(u, v) for u, vs in self._succ.items() for v in vs]
 
     def validate(self) -> None:
-        """Check DAG-ness and that insertion order is topological."""
+        """Check that insertion order is topological (so the graph is a
+        DAG: every edge runs from a lower index to a higher one) and that
+        every layer but the first has an input."""
         if self._valid:
             return
-        if not nx.is_directed_acyclic_graph(self._g):
-            raise GraphValidationError(f"{self.name}: graph has a cycle")
-        for u, v in self._g.edges():
+        for u, v in self.edges():
             if self._index[u] >= self._index[v]:
                 raise GraphValidationError(
                     f"{self.name}: edge {u!r}->{v!r} violates insertion "
                     "(topological) order")
         for i, spec in enumerate(self._layers):
-            if i > 0 and not list(self._g.predecessors(spec.name)):
+            if i > 0 and not self._pred[spec.name]:
                 raise GraphValidationError(
                     f"{self.name}: layer {spec.name!r} is disconnected")
         self._valid = True
@@ -232,7 +233,7 @@ class LayerGraph:
 
     def skip_edges(self) -> List[Tuple[str, str]]:
         """Edges that jump over at least one layer in index order."""
-        return [(u, v) for u, v in self._g.edges()
+        return [(u, v) for u, v in self.edges()
                 if self._index[v] - self._index[u] > 1]
 
     def skip_span(self, edge: Tuple[str, str]) -> int:
@@ -252,7 +253,7 @@ class LayerGraph:
         KARMA's planner uses this to know how long an activation must stay
         live: U-Net long skips yield consumers far in the expansive path.
         """
-        succ = [self._index[s] for s in self._g.successors(name)]
+        succ = [self._index[s] for s in self._succ[name]]
         return max(succ, default=self._index[name])
 
     def canonical_dict(self) -> Dict[str, object]:
@@ -276,8 +277,7 @@ class LayerGraph:
                 }
                 for spec in self._layers
             ],
-            "edges": sorted(
-                [u, v] for u, v in self._g.edges()),
+            "edges": sorted([u, v] for u, v in self.edges()),
         }
 
     def canonical_bytes(self) -> bytes:

@@ -38,6 +38,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..cache.digest import stable_digest
 from ..cache.plan_cache import PlanCache
+# The default planner and the modules it loads on first use, imported
+# with the daemon so that its first cold request pays for planning only.
+from ..cli import plan_config_full
+from ..core import planner as _planner  # noqa: F401
+from ..models import registry as _registry  # noqa: F401
+from ..sim import trainer_sim as _trainer_sim  # noqa: F401
+from ..tiering import placement as _placement  # noqa: F401
 from ..obs.flight import FLIGHT
 from ..obs.metrics import METRICS
 from ..obs.trace import Span, TRACER, TraceContext, span_to_dict
@@ -581,8 +588,6 @@ class PlannerDaemon:
 
     def _default_planner(self, config: Dict[str, Any]) -> Dict[str, Any]:
         """Plan through the CLI's service entry against our cache tier."""
-        from ..cli import plan_config_full
-
         record, _ = plan_config_full(config, use_cache=self.cache is not None,
                                      cache=self.cache)
         return record

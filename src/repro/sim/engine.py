@@ -47,6 +47,18 @@ templates instead.  A :class:`Schedule` is an op
 stream's cost-free structure; :func:`simulate` prepares one per call,
 while the blocking search keeps one per skeleton and re-prices it with
 :func:`run_schedule`.
+
+Resuming a run from a snapshot of an earlier one was measured and not
+built.  Each ledgered run of one ``plan()`` was recorded in this loop's
+own greedy order as (queue, duration, acquire, release, deps as
+positions in that order, start) and matched against the same plan's
+previous 8 runs; the longest common prefix is what a snapshot could
+skip.  Over the ``plan_cold_wide`` configs (resnet200 b12-b24, ``abci``;
+381 runs, 133k events) that is 9.8% of the events, and over the
+``plan_cold_deep`` configs (resnet1001 b128-b256; 349 runs, 35k events)
+18.9%; matching against every earlier run of the plan gives 12.1% and
+19.4%.  Runs of one plan diverge early in that order, so a snapshot
+would save too little to pay for keeping it.
 """
 
 from __future__ import annotations

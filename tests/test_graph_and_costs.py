@@ -106,6 +106,57 @@ class TestLayerGraph:
         assert len(g.static_profile().params) == 3
         assert b'"c"' in g.canonical_bytes()
 
+    #: SHA-256 of ``canonical_bytes()`` per registry model.  Plan-cache
+    #: keys hash these bytes, so if they move, every cached plan misses.
+    CANONICAL_SHA256 = {
+        "resnet50": "1c17e3ebf6760606067cacfd4529c923"
+                    "ebf0d029bb09ce4d89ea9638cd37b991",
+        "vgg16": "4cd644c58976a402c6bc513ac33e143a"
+                 "2147c2ea00231879a276f2f234a94671",
+        "resnet200": "0260d25ee61890c01ed648442d8f6509"
+                     "7c5bd028d9b21595e714a3bbf1e3c43c",
+        "wrn28_10": "0dc71d829fbcad7a9526ac716e2cf99a"
+                    "36570523e6b97e1e1f05e75873487ba1",
+        "resnet1001": "87872f5dca28f693ab2580263ea0cd7e"
+                      "996a70ae90811e241f5fa44c20a8c5f4",
+        "unet": "2b665b1e85ddf1a4d98fb1390dc2d82d"
+                "c5f1b9c0feb75148f99e5175cd14e61c",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL_SHA256))
+    def test_canonical_bytes_pinned(self, name):
+        import hashlib
+
+        digest = hashlib.sha256(build(name).canonical_bytes()).hexdigest()
+        assert digest == self.CANONICAL_SHA256[name]
+
+    def test_edges_follow_insertion_order(self):
+        """By source in layer order, then in the order each edge was
+        added -- not sorted by name or by target."""
+        g = LayerGraph("g")
+        g.add_layer(LayerSpec("z", LayerKind.INPUT, (4,), (4,)))
+        g.add_layer(LayerSpec("m", LayerKind.RELU, (4,), (4,)), inputs=["z"])
+        g.add_layer(LayerSpec("a", LayerKind.RELU, (4,), (4,)),
+                    inputs=["m", "z"])
+        g.add_layer(LayerSpec("b", LayerKind.ADD, (4,), (4,)),
+                    inputs=["a", "m", "z"])
+        assert g.edges() == [("z", "m"), ("z", "a"), ("z", "b"),
+                             ("m", "a"), ("m", "b"), ("a", "b")]
+        assert g.predecessors("b") == ["z", "m", "a"]
+        assert g.successors("z") == ["m", "a", "b"]
+        assert g.skip_edges() == [("z", "a"), ("z", "b"), ("m", "b")]
+
+    def test_duplicate_input_is_one_edge(self):
+        g = LayerGraph("g")
+        g.add_layer(LayerSpec("a", LayerKind.INPUT, (4,), (4,)))
+        g.add_layer(LayerSpec("b", LayerKind.ADD, (4,), (4,)),
+                    inputs=["a", "a"])
+        g.freeze()
+        assert g.edges() == [("a", "b")]
+        assert g.predecessors("b") == ["a"]
+        assert g.successors("a") == ["b"]
+        assert g.canonical_dict()["edges"] == [["a", "b"]]
+
 
 class TestTraversal:
     def test_liveness_horizon_skip(self, small_cnn):
