@@ -83,7 +83,8 @@ def _resolve_transfer(link: str):
 def plan_config_full(config: Dict[str, Any], *,
                      cache_dir: Optional[str] = None,
                      use_cache: bool = True,
-                     cache: Optional[Any] = None
+                     cache: Optional[Any] = None,
+                     structure: Optional[Any] = None
                      ) -> "Tuple[Dict[str, Any], Any]":
     """Plan one configuration dict; returns ``(record, KarmaPlan)``.
 
@@ -94,6 +95,9 @@ def plan_config_full(config: Dict[str, Any], *,
     cache's sidecar before returning.  Passing an existing ``cache``
     instance (the planner daemon's shared warm tier) overrides
     ``cache_dir``/``use_cache``; flushing is then the owner's job.
+    ``structure`` is the :class:`~repro.sim.trainer_sim.StructureCache`
+    a cold search lowers through (the daemon's, kept for its life);
+    omitted, the search uses a fresh one.
     """
     from .cache.plan_cache import PlanCache
     from .core.planner import plan
@@ -119,7 +123,7 @@ def plan_config_full(config: Dict[str, Any], *,
               capacity=float(capacity) if capacity is not None else None,
               hierarchy=hierarchy,
               placement_policy=config.get("placement", "auto"),
-              cache=cache)
+              cache=cache, structure=structure)
     wall = time.perf_counter() - t0
     if cache is not None and owns_cache:
         cache.flush_session_stats()

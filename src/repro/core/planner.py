@@ -43,6 +43,7 @@ from .stages import make_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..cache.plan_cache import PlanCache
+    from ..sim.trainer_sim import StructureCache
 
 
 @dataclass
@@ -59,6 +60,9 @@ class KarmaPlan:
     cache_hit: bool = False
     cache_key: Optional[str] = None
     search_time: float = 0.0            # seconds spent in Opt-1 + Opt-2
+    #: skeletons this search found already lowered by another plan in
+    #: the structure table it was handed (0 with a fresh table)
+    structure_hits: int = 0
 
     @property
     def is_out_of_core(self) -> bool:
@@ -221,7 +225,8 @@ def plan(graph: LayerGraph, batch_size: int, *,
          hierarchy: Optional[MemoryHierarchy] = None,
          placement_policy: str = "auto",
          cache: "Optional[PlanCache]" = None,
-         calibration: Optional[Dict[str, float]] = None) -> KarmaPlan:
+         calibration: Optional[Dict[str, float]] = None,
+         structure: "Optional[StructureCache]" = None) -> KarmaPlan:
     """Derive a KARMA execution plan for ``graph`` at ``batch_size``.
 
     Runs the paper's Fig. 1 workflow end to end: profile the graph into a
@@ -267,6 +272,13 @@ def plan(graph: LayerGraph, batch_size: int, *,
             :class:`~repro.costs.trace_fit.CalibrationArtifact`.  The
             factors are part of the plan-cache digest, so a recalibrated
             planner never replays stale decisions.
+        structure: a :class:`~repro.sim.trainer_sim.StructureCache` to
+            lower the search's plans through and leave its new structure
+            in, for a caller that plans many configurations (the planner
+            daemon keeps one for its life); omitted, the search uses a
+            fresh table that dies with the call.  Its keys name no
+            model, batch size or byte count, so sharing it never changes
+            a plan.
 
     Returns:
         A :class:`KarmaPlan`: the executable :class:`ExecutionPlan` plus
@@ -322,7 +334,7 @@ def plan(graph: LayerGraph, batch_size: int, *,
     # repeated grid points at lookup cost (see sim.trainer_sim)
     from ..sim.trainer_sim import LoweringCache
 
-    lowering = LoweringCache(cost, capacity, hierarchy)
+    lowering = LoweringCache(cost, capacity, hierarchy, structure=structure)
     with TRACER.span("plan.opt1_blocking", "planner",
                      method=method) as sp:
         blocking = solve_blocking(graph, cost, capacity, graph.name,
@@ -381,4 +393,5 @@ def plan(graph: LayerGraph, batch_size: int, *,
                      recompute=rec_result, capacity=capacity,
                      hierarchy=hierarchy, placement=placement,
                      cache_hit=False, cache_key=key,
-                     search_time=search_time)
+                     search_time=search_time,
+                     structure_hits=lowering.shared_hits)

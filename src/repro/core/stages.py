@@ -66,10 +66,12 @@ class StagePieces:
     attaches to — so pieces are keyed on what they hold, not where they
     sit.  A schedule built against a shared table allocates only the
     pieces no earlier schedule had, and its signature is made of the
-    interned tuples.  The :class:`~repro.sim.trainer_sim.LoweringCache` of a
-    ``plan()`` call owns one; :func:`generate_stages` without one uses a
-    fresh table.  Ops, stages and signatures are immutable, so sharing
-    one between schedules is invisible.
+    interned tuples.  A :class:`~repro.sim.trainer_sim.StructureCache`
+    owns one — per ``plan()`` call, or for a planner daemon's life;
+    :func:`generate_stages` without one uses a fresh table.  Ops, stages
+    and signatures are immutable, so sharing one between schedules, and
+    between plans, is invisible.  Threads may share a table: it is only
+    read and added to, and a race builds an equal piece twice.
     """
 
     __slots__ = ("ops", "stages", "keys")
@@ -249,8 +251,8 @@ def make_plan(model_name: str, batch_size: int,
     generated once per (policies, placements) and shared by every plan
     built from them, so their validations walk it once.  Only a schedule
     whose plan validated is kept, so an illegal one raises on every build.
-    Every schedule, eager or not, is built from the cache's
-    :class:`StagePieces`.
+    Every schedule, eager or not, is built from the
+    :class:`StagePieces` of the cache's structure table.
     """
     placements = {int(b): int(t) for b, t in (placements or {}).items()}
     policies = tuple(policies)
@@ -261,7 +263,8 @@ def make_plan(model_name: str, batch_size: int,
     if fresh:
         built = generate_stages(
             policies, prefetch=prefetch, placements=placements,
-            pieces=lowering.pieces if lowering is not None else None)
+            pieces=lowering.structure.pieces if lowering is not None
+            else None)
     stages, checkpoints = built
     plan = ExecutionPlan(
         model_name=model_name, batch_size=batch_size,

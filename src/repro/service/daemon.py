@@ -21,7 +21,11 @@ resident and turns planning into a *service*:
 
 Requests are served by a small pool of daemon worker threads, and each
 request is planned start to finish on the thread that dequeued it: the
-request is the unit of parallelism, so the planner never forks.
+request is the unit of parallelism, so the planner never forks.  Every
+cold search lowers through one
+:class:`~repro.sim.trainer_sim.StructureCache` the daemon keeps for its
+life, so a plan lowers only the structure no earlier plan had; pricing
+stays per plan.
 Everything lands in :data:`~repro.obs.metrics.METRICS`
 (``service.*`` names) and, when enabled, :data:`~repro.obs.trace.TRACER`
 spans — see ``docs/service.md`` for the name tables.
@@ -43,7 +47,7 @@ from ..cache.plan_cache import PlanCache
 from ..cli import plan_config_full
 from ..core import planner as _planner  # noqa: F401
 from ..models import registry as _registry  # noqa: F401
-from ..sim import trainer_sim as _trainer_sim  # noqa: F401
+from ..sim.trainer_sim import StructureCache
 from ..tiering import placement as _placement  # noqa: F401
 from ..obs.flight import FLIGHT
 from ..obs.metrics import METRICS
@@ -216,6 +220,10 @@ class PlannerDaemon:
         self._threads: List[threading.Thread] = []
         self._running = False
         self._started_at = 0.0
+        # the structure table every cold search lowers through; replaced
+        # (never cleared) once full, see _structure_table
+        self._structure = StructureCache()
+        self._structure_generation = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -438,6 +446,7 @@ class PlannerDaemon:
             "hot_entries": len(self._hot),
             "hot_capacity": self.config.hot_capacity,
             "service_workers": self.config.service_workers,
+            "structure": self._structure_stats(),
             "counters": {k: v for k, v in snap["counters"].items()
                          if k.startswith(("service.", "cluster.",
                                           "plan_cache."))},
@@ -449,6 +458,11 @@ class PlannerDaemon:
         if self.cluster is not None:
             out["cluster"] = self.cluster.snapshot()
         return out
+
+    def _structure_stats(self) -> Dict[str, int]:
+        """Size and generation of the structure table."""
+        return {"skeletons": len(self._structure.skeletons),
+                "generation": self._structure_generation}
 
     def telemetry(self) -> Dict[str, Any]:
         """One live telemetry frame for the ``telemetry`` protocol op.
@@ -468,6 +482,7 @@ class PlannerDaemon:
             "hot_entries": len(self._hot),
             "hot_capacity": self.config.hot_capacity,
             "service_workers": self.config.service_workers,
+            "structure": self._structure_stats(),
             "metrics": METRICS.snapshot(),
         }
         if self.cluster is not None:
@@ -587,10 +602,27 @@ class PlannerDaemon:
         METRICS.counter("service.workers_respawned").inc()
 
     def _default_planner(self, config: Dict[str, Any]) -> Dict[str, Any]:
-        """Plan through the CLI's service entry against our cache tier."""
-        record, _ = plan_config_full(config, use_cache=self.cache is not None,
-                                     cache=self.cache)
+        """Plan through the CLI's service entry against our cache tier
+        and structure table."""
+        record, kp = plan_config_full(config,
+                                      use_cache=self.cache is not None,
+                                      cache=self.cache,
+                                      structure=self._structure_table())
+        METRICS.counter("service.structure.skeleton_hits").inc(
+            kp.structure_hits)
         return record
+
+    def _structure_table(self) -> StructureCache:
+        """The structure table for the next plan: the daemon's, replaced
+        by a fresh one once full.  The swap is one reference store, so
+        worker threads need no lock; plans already running finish on the
+        table they were handed."""
+        structure = self._structure
+        if structure.full:
+            structure = self._structure = StructureCache(
+                structure.max_entries)
+            self._structure_generation += 1
+        return structure
 
     def _hot_get(self, key: str) -> Optional[Dict[str, Any]]:
         with self._hot_lock:

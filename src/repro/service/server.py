@@ -39,6 +39,7 @@ import socketserver
 import threading
 import time
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Iterator,
@@ -51,8 +52,10 @@ from typing import (
 from ..obs.flight import FLIGHT
 from ..obs.metrics import METRICS
 from ..obs.trace import TraceContext
-from .daemon import PlannerDaemon
 from .errors import BadRequest, ServiceRejection
+
+if TYPE_CHECKING:  # pragma: no cover - a client imports this module too
+    from .daemon import PlannerDaemon
 
 __all__ = ["Address", "parse_address", "PlannerServer", "MAX_FRAME_BYTES"]
 

@@ -26,6 +26,7 @@ from .trainer_sim import (
     IterationResult,
     LoweringCache,
     OutOfCoreInfeasible,
+    StructureCache,
     bind_costs,
     block_costs,
     compile_plan,
@@ -37,7 +38,7 @@ __all__ = [
     "simulate", "simulate_reference",
     "SimOp", "SimResult", "SimulationDeadlock", "ScheduleBuilder",
     "simulate_plan", "compile_plan", "compile_skeleton", "bind_costs",
-    "block_costs", "BlockCosts", "LoweringCache",
+    "block_costs", "BlockCosts", "LoweringCache", "StructureCache",
     "StallProfile", "stall_profile", "compare_profiles",
     "IterationResult", "OutOfCoreInfeasible",
     "AllreduceModel", "phased_groups", "flat_exchange_time",

@@ -44,22 +44,24 @@ evaluation:
   folded from the resulting start/finish arrays.  :func:`bind_costs` is
   the same rule yielding a :class:`~repro.sim.engine.SimOp` list.
 
-A :class:`LoweringCache` memoizes that pipeline (stage schedules, block
-costs, ledger sizing, prepared skeletons, and each priced outcome) for
-one fixed ``(cost model, capacity, hierarchy)`` planning context, so grid
-points that differ only in margin / placement policy — which very often
-lower to the same plan — are priced at dictionary-lookup cost, and
-boundary candidates that share a policy structure reuse the prepared
-skeleton with re-bound durations, building no per-op object.  It also
-owns the piece tables every new policy vector is lowered from — the
-interned ``Op``/``Stage`` objects of
-:class:`~repro.core.stages.StagePieces` and the skeleton templates — so
-a vector allocates only the pieces no earlier vector had; without a
-cache the same code runs against fresh tables.  Apart from one immutable
-stage schedule per policy vector and the interned pieces, it holds
-scalars, atomic keys and int tuples, never an exception, a ``SimResult``
-or a plan, so a search leaves no cyclic garbage for the collector to
-walk.
+A :class:`LoweringCache` memoizes that pipeline for one fixed ``(cost
+model, capacity, hierarchy)`` planning context: block costs, ledger
+sizing and each priced outcome, so grid points that differ only in
+margin / placement policy — which very often lower to the same plan —
+are priced at dictionary-lookup cost.  What does not read the context
+lives in its :class:`StructureCache`: stage schedules, prepared
+skeletons, and the piece tables every new policy vector is lowered from
+— the interned ``Op``/``Stage`` objects of
+:class:`~repro.core.stages.StagePieces` and the skeleton templates.
+Boundary candidates that share a policy structure reuse the prepared
+skeleton with re-bound durations, building no per-op object, and a
+vector allocates only the pieces no earlier vector had; without a cache
+the same code runs against fresh tables.  One plan's search owns one
+structure table, unless its caller shares one across plans (the planner
+daemon does).  Apart from one immutable stage schedule per policy
+vector and the interned pieces, the caches hold scalars, atomic keys and
+int tuples, never an exception, a ``SimResult`` or a plan, so a search
+leaves no cyclic garbage for the collector to walk.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from ..core.schedule import (
     BlockPolicy,
@@ -273,6 +276,10 @@ _SWAPPED, _RECOMPUTED, _CHECKPOINTED = (
     BlockPolicy.SWAPPED, BlockPolicy.RECOMPUTED, BlockPolicy.CHECKPOINTED)
 
 
+#: The empty chained-block set of a structure key.
+_NO_BLOCKS: FrozenSet[int] = frozenset()
+
+
 def plan_structure_key(plan: ExecutionPlan, costs: BlockCosts,
                        prefetch_lookahead: int = 3) -> Tuple:
     """Hashable key capturing everything :func:`compile_skeleton` reads.
@@ -283,15 +290,19 @@ def plan_structure_key(plan: ExecutionPlan, costs: BlockCosts,
     key on their kind's value string so the tuples stay atomic (the GC
     untracks them).  The stage part is the schedule's carried
     :attr:`~repro.core.schedule.Stages.signature`, so plans sharing one
-    schedule derive it once.
+    schedule derive it once.  An empty chained set is the one shared
+    :data:`_NO_BLOCKS`: each ``frozenset()`` built empty is a new object,
+    and a structure table keeps one key per policy vector.
     """
     stage_sig = plan.stages.signature
     placements = plan.placements
     placements_sig = tuple(sorted(placements.items()))
     chained_out = frozenset(b for b, tier in placements.items()
-                            if tier >= 2 and costs.storage_out(b) > 0)
+                            if tier >= 2 and costs.storage_out(b) > 0) \
+        or _NO_BLOCKS
     chained_in = frozenset(b for b, tier in placements.items()
-                           if tier >= 2 and costs.storage_in(b) > 0)
+                           if tier >= 2 and costs.storage_in(b) > 0) \
+        or _NO_BLOCKS
     return (stage_sig, plan.policies, placements_sig, chained_out,
             chained_in, prefetch_lookahead)
 
@@ -495,7 +506,7 @@ def _resolve(i: int, spec: Tuple[Any, ...], ids: Dict[Tuple[str, int], int],
 
 
 def _lower(skeleton: Skeleton) -> _Lowered:
-    """Prepare a skeleton for pricing: what a :class:`LoweringCache`
+    """Prepare a skeleton for pricing: what a :class:`StructureCache`
     keeps per structure key."""
     roles, blocks, resources, labels, deps = skeleton
     return roles, blocks, Schedule(resources, deps, labels)
@@ -561,8 +572,95 @@ def compile_plan(plan: ExecutionPlan, costs: BlockCosts,
 
 
 # ---------------------------------------------------------------------------
-# The lowering cache
+# The lowering caches
 # ---------------------------------------------------------------------------
+
+def _content_key(skeleton: Skeleton) -> Tuple:
+    """What two skeletons must share to lower to one ``Schedule``: every
+    column but resources, which are a function of the role (see
+    :func:`_template`)."""
+    roles, blocks, _, labels, deps = skeleton
+    return roles, blocks, labels, deps
+
+
+class StructureCache:
+    """The context-free lowering tables: what a plan's *structure* lowers
+    to, whatever model, batch size or byte counts it is then priced with.
+
+    * ``skeletons`` — prepared skeletons (roles, blocks and the engine's
+      :class:`~repro.sim.engine.Schedule`) per :func:`plan_structure_key`,
+      so a new boundary vector only re-binds durations / byte counts;
+    * ``schedules`` — :func:`~repro.core.stages.make_plan`'s eager stage
+      schedule and checkpoints per (policies, placements), kept once a
+      plan built from them validated: plans that share a policy vector
+      share one immutable :class:`~repro.core.schedule.Stages`, which
+      carries its stage signature and validation walk;
+    * ``pieces`` — the :class:`~repro.core.stages.StagePieces` that
+      :func:`~repro.core.stages.generate_stages` takes each ``Op`` and
+      ``Stage`` from, interned by content;
+    * ``templates`` — :func:`compile_skeleton`'s per-op templates, keyed
+      on an op's signature and the context it reads.
+
+    None of these keys names a model, a batch size or a byte count, so
+    one table serves any number of plans.  ``plan()`` makes a fresh one
+    per call unless it is handed one; the planner daemon keeps one for
+    its life, and a plan then lowers only the structure no earlier plan
+    had.
+
+    Skeletons are interned by content too: a skeleton whose structure
+    key is new is looked up by its columns in ``content`` before its
+    ``Schedule`` is built (keys that differ only in what lowering
+    ignores share one: a swap placed in DRAM explicitly lowers like one
+    left untiered), and every per-op ``deps`` / ``dependents`` tuple is
+    interned in ``edges``.
+
+    Nothing is ever evicted or reordered: an owner bounds the table by
+    replacing it once it is :attr:`full`, which is one reference swap.
+    So threads sharing one table only ever do ``dict.get`` and
+    ``dict[k] = v``, both atomic; a race interns equal content twice,
+    which is harmless because every entry is immutable.  Instances
+    pickle.
+    """
+
+    def __init__(self, max_entries: int = 1024):
+        self.max_entries = max_entries
+        self.skeletons: Dict[Tuple, _Lowered] = {}
+        self.schedules: Dict[Tuple, Tuple[Stages, Dict[int, int]]] = {}
+        self.pieces = StagePieces()
+        self.templates: Dict[Tuple, _Template] = {}
+        self.content: Dict[Tuple, _Lowered] = {}
+        self.edges: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+    @property
+    def full(self) -> bool:
+        """Whether an owner should start a fresh table for its next plan
+        (a single plan builds far fewer than ``max_entries``)."""
+        return (len(self.skeletons) >= self.max_entries
+                or len(self.schedules) >= self.max_entries)
+
+    def lower(self, skeleton: Skeleton) -> _Lowered:
+        """Prepare a skeleton for pricing, or return the prepared one with
+        equal content."""
+        lowered = self.content.get(_content_key(skeleton))
+        if lowered is None:
+            roles, blocks, resources, labels, deps = skeleton
+            intern = self.edges.setdefault   # (d, d): d, or its equal
+            skeleton = (roles, blocks, resources, labels,
+                        tuple(map(intern, deps, deps)))
+            lowered = _lower(skeleton)
+            schedule = lowered[2]
+            schedule.dependents = tuple(map(intern, schedule.dependents,
+                                            schedule.dependents))
+            self.content[_content_key(skeleton)] = lowered
+        return lowered
+
+
+def _structure_layer(name: str) -> property:
+    """A :class:`LoweringCache` attribute that reads and writes one
+    layer of its :class:`StructureCache`."""
+    return property(lambda self: getattr(self.structure, name),
+                    lambda self, value: setattr(self.structure, name, value))
+
 
 class LoweringCache:
     """Memoizes the plan-pricing pipeline for one planning context.
@@ -572,62 +670,54 @@ class LoweringCache:
     capacity and memory hierarchy.  Candidates that differ only in margin
     or placement policy very often *lower to the same plan*, and boundary
     candidates that share a policy structure share the lowered skeleton.
-    This cache exploits both, layer by layer:
+    This cache exploits both.  Its pricing layers read the context:
 
-    * ``results``   — an :class:`IterationResult`'s fields minus ``plan``
+    * ``results`` — an :class:`IterationResult`'s fields minus ``plan``
       and ``sim`` per (structure, blocks) key: identical plans priced once;
-    * ``skeletons`` — prepared skeletons (roles, blocks and the
-      engine's :class:`~repro.sim.engine.Schedule`) per structure key, so
-      a new boundary vector only re-binds durations / byte counts;
     * ``costs`` / ``ledgers`` — :func:`block_costs` per (partition,
-      storage-placed blocks) and the stash-ledger sizing per partition;
-    * ``schedules`` — :func:`~repro.core.stages.make_plan`'s eager stage
-      schedule and checkpoints per (policies, placements), kept once a
-      plan built from them validated: candidates that share a policy
-      vector share one immutable :class:`~repro.core.schedule.Stages`,
-      which carries its stage signature and validation walk.
+      storage-placed blocks) and the stash-ledger sizing per partition,
+      plus each block's peak workspace.
 
-    Two piece tables, which are not LRU layers, lower every new policy
-    vector:
-
-    * ``pieces`` — the :class:`~repro.core.stages.StagePieces` that
-      :func:`~repro.core.stages.generate_stages` takes each ``Op`` and
-      ``Stage`` from, interned by content;
-    * ``templates`` — :func:`compile_skeleton`'s per-op templates, keyed
-      on an op's signature and the context it reads.
-
-    Both grow only with the distinct pieces of one model's plans and die
-    with the cache, which ``plan()`` creates and drops.
+    The structure layers do not: they live in a :class:`StructureCache`
+    (``structure``), a fresh one unless the caller shares one, and are
+    also reachable here as ``_skeletons``, ``_schedules``, ``pieces`` and
+    ``templates``.
 
     Layers hold scalars and atomic keys; an infeasible outcome is kept as
     its message and re-raised fresh, never as the exception (whose
     traceback pins the search frames, and through them this cache).
     Instances are bound to their ``(cost, capacity, hierarchy)`` triple;
     :func:`simulate_plan` refuses a cache built for a different context
-    (a silent key collision would return wrong prices).  All layers are
-    LRU-bounded.  Instances pickle.
+    (a silent key collision would return wrong prices).  The pricing
+    layers are LRU-bounded; an instance is used by one thread.
+    Instances pickle.
     """
+
+    _skeletons = _structure_layer("skeletons")
+    _schedules = _structure_layer("schedules")
+    pieces = _structure_layer("pieces")
+    templates = _structure_layer("templates")
 
     def __init__(self, cost: CostModel, capacity: float,
                  hierarchy: Optional[MemoryHierarchy] = None,
-                 max_entries: int = 1024):
+                 max_entries: int = 1024,
+                 structure: Optional[StructureCache] = None):
         self.cost = cost
         self.capacity = capacity
         self.hierarchy = hierarchy
         self.max_entries = max_entries
+        self.structure = structure if structure is not None \
+            else StructureCache()
         self._costs: "OrderedDict[Tuple, BlockCosts]" = OrderedDict()
         self._ledgers: "OrderedDict[Tuple, Union[int, str]]" = OrderedDict()
-        self._skeletons: "OrderedDict[Tuple, _Lowered]" = OrderedDict()
         self._results: "OrderedDict[Tuple, Union[_Timing, str]]" = \
             OrderedDict()
-        self._schedules: "OrderedDict[Tuple, Tuple[Stages, Dict[int, int]]]" \
-            = OrderedDict()
         self._workspace: Dict[Tuple[int, int], int] = {}
-        self.pieces = StagePieces()
-        self.templates: Dict[Tuple, _Template] = {}
+        self._built: Set[Tuple] = set()   # structure keys lowered here
         self.hits = 0            # result-level hits (sim fully skipped)
         self.misses = 0          # result-level misses (sim actually ran)
         self.skeleton_hits = 0   # re-binds that skipped stage lowering
+        self.shared_hits = 0     # ... of skeletons another cache lowered
 
     def matches(self, cost: CostModel, capacity: float,
                 hierarchy: Optional[MemoryHierarchy]) -> bool:
@@ -638,7 +728,7 @@ class LoweringCache:
         return {"result_hits": self.hits, "result_misses": self.misses,
                 "skeleton_hits": self.skeleton_hits,
                 "results": len(self._results),
-                "skeletons": len(self._skeletons)}
+                "skeletons": len(self._built)}
 
     @staticmethod
     def _put(store: "OrderedDict", key: Tuple, value: object,
@@ -650,8 +740,8 @@ class LoweringCache:
     @staticmethod
     def _get(store: "OrderedDict", key: Tuple) -> object:
         """Lookup that refreshes recency, so eviction is true LRU — the
-        skeleton a thousand boundary candidates share must not be evicted
-        by one-off entries just because it was inserted first."""
+        ledger sizing a thousand candidates share must not be evicted by
+        one-off entries just because it was inserted first."""
         value = store.get(key)
         if value is not None:
             store.move_to_end(key)
@@ -700,25 +790,27 @@ class LoweringCache:
 
     def lowered(self, plan: ExecutionPlan, costs: BlockCosts,
                 structure_key: Tuple, prefetch_lookahead: int) -> _Lowered:
-        lowered = self._get(self._skeletons, structure_key)
+        structure = self.structure
+        lowered = structure.skeletons.get(structure_key)
         if lowered is None:
-            lowered = _lower(compile_skeleton(plan, costs,
-                                              prefetch_lookahead,
-                                              self.templates))
-            self._put(self._skeletons, structure_key, lowered,
-                      self.max_entries)
+            lowered = structure.skeletons[structure_key] = structure.lower(
+                compile_skeleton(plan, costs, prefetch_lookahead,
+                                 structure.templates))
+            self._built.add(structure_key)
         else:
             self.skeleton_hits += 1
-        return lowered  # type: ignore[return-value]
+            if structure_key not in self._built:
+                self.shared_hits += 1
+        return lowered
 
     def schedule(self, key: Tuple) -> Optional[Tuple[Stages, Dict[int, int]]]:
         """The (stages, checkpoints) kept for a (policies, placements)
         key, or None."""
-        return self._get(self._schedules, key)  # type: ignore[return-value]
+        return self.structure.schedules.get(key)
 
     def store_schedule(self, key: Tuple,
                        value: Tuple[Stages, Dict[int, int]]) -> None:
-        self._put(self._schedules, key, value, self.max_entries)
+        self.structure.schedules[key] = value
 
     def result(self, key: Tuple) -> Optional[Union[_Timing, str]]:
         return self._get(self._results, key)  # type: ignore[return-value]

@@ -3,7 +3,8 @@
 Every check runs in a fresh interpreter, because this test session has
 long since imported everything.  ``import repro`` loads no subpackage;
 planning a model loads neither SciPy nor networkx, nor the numeric,
-distributed, elastic, evaluation or baseline subpackages.
+distributed, elastic, evaluation or baseline subpackages; a planning
+service client loads no planner.
 """
 
 from __future__ import annotations
@@ -99,6 +100,19 @@ new = sorted(m for m in set(sys.modules) - loaded_before
 assert new == [], new
 """, tmp_path)
     assert loaded_under(modules, OFF_PLAN_PATH) == []
+
+
+def test_pure_client_loads_no_planner(tmp_path):
+    modules = run_fresh("import repro.service.client\n", tmp_path)
+    assert "repro.service.client" in modules
+    assert loaded_under(modules, ["repro.core", "repro.sim",
+                                  "repro.service.daemon"]) == []
+    # the package's names still resolve, on first access
+    modules = run_fresh("""
+from repro.service import PlannerDaemon
+assert PlannerDaemon.__module__ == "repro.service.daemon"
+""", tmp_path)
+    assert "repro.core.planner" in modules
 
 
 def test_checkmate_still_plans_with_scipy(tmp_path):

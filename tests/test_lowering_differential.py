@@ -21,12 +21,21 @@ so a second test pushes a sequence of search-like steps through one
 cache and holds each vector to a fresh lowering and to the reference.
 Planted key bugs — a template key without the recompute source's policy
 or the chained flag, an op key without the tier — must fail that check.
+
+The structure layers (schedules, skeletons, pieces, templates) do not
+read the pricing context, so one ``StructureCache`` may serve many: a
+third test pushes the vectors of two contexts through one table.
+Planted bugs in what that table keys on — a structure key without the
+prefetch lookahead or without the chained swap-outs, a content key
+without the dependency edges — must fail those checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+import sys
 from contextlib import ExitStack
 from unittest import mock
 
@@ -39,13 +48,20 @@ from repro.core.schedule import BlockPolicy, ExecutionPlan, Op, OpKind, Stage
 from repro.core.stages import StagePieces, generate_stages
 from repro.costs import profile_graph
 from repro.hardware import TransferModel, abci_host, karma_swap_link
-from repro.hardware.spec import v100_sxm2_16gb
-from repro.hardware.tiering import abci_hierarchy
+from repro.hardware.spec import LinkSpec, v100_sxm2_16gb
+from repro.hardware.tiering import (
+    GiB,
+    MemoryHierarchy,
+    MiB,
+    TierSpec,
+    abci_hierarchy,
+)
 from repro.sim import trainer_sim
 from repro.sim.engine import SimulationDeadlock
 from repro.sim.trainer_sim import (
     LoweringCache,
     OutOfCoreInfeasible,
+    StructureCache,
     block_costs,
     compile_skeleton,
     plan_structure_key,
@@ -208,12 +224,13 @@ def _signature_of(stages):
 
 
 def _check_sequence(name, hierarchy, capacity, starts, zero_bytes,
-                    vectors):
+                    vectors, structure=None):
     """Lower and price every (partition, policies, placements, prefetch)
     vector through one ``LoweringCache``, holding each to a fresh lowering
-    and to the reference."""
+    and to the reference.  ``structure`` is the table the cache lowers
+    through, a fresh one when None."""
     graph, cost = _context(name)
-    cache = LoweringCache(cost, capacity, hierarchy)
+    cache = LoweringCache(cost, capacity, hierarchy, structure=structure)
     with ExitStack() as patches:
         for module in (trainer_sim, ref):
             patches.enter_context(mock.patch.object(
@@ -259,13 +276,14 @@ def _check_sequence(name, hierarchy, capacity, starts, zero_bytes,
 
 
 @st.composite
-def sequences(draw):
-    """A pricing context and a sequence of vectors over one block count:
-    small counts, so later vectors meet the pieces of earlier ones in
-    new surroundings."""
+def sequences(draw, k=None):
+    """A pricing context and a sequence of vectors over one block count
+    (``k``, drawn when None): small counts, so later vectors meet the
+    pieces of earlier ones in new surroundings."""
     name = draw(st.sampled_from(("cnn", "unet")))
     graph, cost = _context(name)
-    k = draw(st.integers(1, 5))
+    if k is None:
+        k = draw(st.integers(1, 5))
 
     def placed(policies):
         return {b: draw(st.sampled_from((1, 2)))
@@ -366,6 +384,93 @@ def test_planted_piece_key_bugs_fail_the_check(monkeypatch, target, name,
     monkeypatch.setattr(target, name, bug)
     with pytest.raises(AssertionError):
         _check_sequence(*context, vectors)
+
+
+@given(k=st.integers(1, 5), data=st.data())
+def test_one_structure_table_serves_two_contexts(k, data):
+    """Two pricing contexts (model, hierarchy, capacity, zeroed stashes)
+    lower their vectors through one structure table, the second meeting
+    everything the first left in it."""
+    structure = StructureCache()
+    for _ in range(2):
+        _check_sequence(*data.draw(sequences(k)), structure=structure)
+
+
+def _check_lookaheads(name, vectors, lookaheads=(3, 1), structure=None):
+    """Lower each vector at every prefetch lookahead through one
+    structure table, holding each skeleton to a fresh lowering and to
+    the reference."""
+    graph, cost = _context(name)
+    structure = structure if structure is not None else StructureCache()
+    for blocks, policies, placements, prefetch in vectors:
+        plan = make_plan(graph.name, 8, blocks, policies, prefetch=prefetch,
+                         placements=placements)
+        cache = LoweringCache(cost, 16e9, structure=structure)
+        costs = cache.block_costs(plan)
+        for lookahead in lookaheads:
+            key = plan_structure_key(plan, costs, lookahead)
+            assert key == ref.plan_structure_key(plan, costs, lookahead)
+            rows = ref.compile_skeleton(plan, costs, lookahead)
+            assert tuple(zip(*compile_skeleton(plan, costs, lookahead))) \
+                == rows
+            assert _rows(cache.lowered(plan, costs, key, lookahead)) == rows
+
+
+#: A toy hierarchy whose storage writes are free: a stash placed in NVMe
+#: chains its swap-in through storage but not its swap-out.
+FREE_WRITES = MemoryHierarchy(
+    tiers=(TierSpec("hbm", 16 * GiB, 900e9),
+           TierSpec("dram", 64 * MiB, math.inf),
+           TierSpec("nvme", 4 * GiB, math.inf)),
+    links_down=(LinkSpec("host", 16e9), LinkSpec("write", math.inf, 0.0)),
+    links_up=(LinkSpec("host", 16e9), LinkSpec("read", 2e9)))
+
+#: Sout2/Sin2 both chain under ABCI; only Sin2 chains under FREE_WRITES.
+SPILLED = [(SPLITS[0], [K, S], {1: 2}, "eager")]
+
+
+def _check_chained_contexts():
+    structure = StructureCache()
+    for hierarchy in (abci_hierarchy(), FREE_WRITES):
+        _check_sequence("cnn", hierarchy, 16e9, (), False, SPILLED,
+                        structure=structure)
+
+
+def _check_three_swaps():
+    # Sin1's deps name B2 at lookahead 1 and no backward at lookahead 3:
+    # the skeletons differ in their edges alone
+    _check_lookaheads("cnn", [([(0, 4), (4, 8), (8, 12), (12, 16)],
+                               [S, S, S, K], {}, "eager")])
+
+
+def _without_lookahead(key_of):
+    return lambda plan, costs, prefetch_lookahead=3: key_of(plan, costs)
+
+
+def _without_chained_out(key_of):
+    def key(plan, costs, prefetch_lookahead=3):
+        full = key_of(plan, costs, prefetch_lookahead)
+        return full[:3] + (frozenset(),) + full[4:]
+    return key
+
+
+@pytest.mark.parametrize("name, bug, check", [
+    ("plan_structure_key", _without_lookahead, _check_three_swaps),
+    ("plan_structure_key", _without_chained_out, _check_chained_contexts),
+    ("_content_key", lambda content_key: lambda s: content_key(s)[:3],
+     _check_three_swaps),
+], ids=["structure-key-omits-lookahead", "structure-key-omits-chained-out",
+        "content-key-omits-deps"])
+def test_planted_structure_bugs_fail_the_shared_table_check(
+        monkeypatch, name, bug, check):
+    check()
+    # planted wherever the function is read, the reference and this
+    # module included, so only the shared table can tell
+    for module in (trainer_sim, ref, sys.modules[__name__]):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, bug(getattr(module, name)))
+    with pytest.raises(AssertionError):
+        check()
 
 
 @given(policies=st.lists(st.sampled_from(POLICIES), min_size=1,
