@@ -6,8 +6,8 @@ portfolio search, so planner throughput is bounded by ``simulate()`` —
 the one engine the planner runs.  This bench prices the two remedies
 this repo ships:
 
-1. **engine** — ``repro.sim.engine.simulate`` (event heap when nothing
-   is ledgered, indegree wakeups + incremental ledger otherwise)
+1. **engine** — ``repro.sim.engine.simulate`` (one greedy pass loop
+   with indegree wakeups, plus the incremental ledger when one is given)
    against the seed round-robin oracle preserved in
    ``repro.sim.reference_engine``, on a steady-state 3-iteration stream
    of a 64-block, 3-tier (HBM/DRAM/NVMe) ResNet-200 plan sweep.  Every
@@ -106,7 +106,7 @@ def _unroll(ops, iterations):
 
 
 def test_engine_speedup_64block_3tier(bench_writer):
-    """Acceptance: the event-heap engine is >= 10x faster than the seed
+    """Acceptance: the production engine is >= 10x faster than the seed
     engine on the 64-block, 3-tier steady-state sweep, bit-identically."""
     cases = [( _unroll(ops, STEADY_STATE_ITERATIONS), ledger)
              for ops, ledger in _sixty_four_block_plans()]
@@ -140,7 +140,7 @@ def test_engine_speedup_64block_3tier(bench_writer):
     ops_per_sec = total_ops / new_s
     print(f"\n64-block 3-tier sweep ({len(cases)} plans x "
           f"{STEADY_STATE_ITERATIONS} iterations, {total_ops} ops): "
-          f"event-heap {new_s * 1e3:.1f} ms, reference "
+          f"engine {new_s * 1e3:.1f} ms, reference "
           f"{ref_s * 1e3:.1f} ms ({speedup:.1f}x, "
           f"{ops_per_sec:,.0f} ops/s)")
     bench_writer.emit("engine", {
@@ -153,7 +153,7 @@ def test_engine_speedup_64block_3tier(bench_writer):
         "bit_identical": True,
     })
     assert speedup >= 10.0, \
-        f"event-heap engine only {speedup:.1f}x faster than the seed engine"
+        f"production engine only {speedup:.1f}x faster than the seed engine"
 
 
 def test_single_iteration_speedup(bench_writer):
@@ -174,7 +174,7 @@ def test_single_iteration_speedup(bench_writer):
     sweep(simulate, 1)
     new_s = sweep(simulate, 10)
     ref_s = sweep(simulate_reference, 3)
-    print(f"\nsingle-iteration sweep: event-heap {new_s * 1e3:.2f} ms, "
+    print(f"\nsingle-iteration sweep: engine {new_s * 1e3:.2f} ms, "
           f"reference {ref_s * 1e3:.2f} ms ({ref_s / new_s:.1f}x)")
     bench_writer.emit("engine", {
         "single_iter.event_heap_s": new_s,

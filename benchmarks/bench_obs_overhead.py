@@ -7,10 +7,10 @@ instrumentation threaded through it (PR 6) is only acceptable if the
 on the 64-block, 3-tier ResNet-200 sweep from ``bench_engine``:
 
 * **disabled overhead** — the public ``simulate()`` entry (tracer off:
-  one ``TRACER.enabled`` branch + the engines' dormant stats hooks)
-  against direct calls into the internal engine loops.  Hard bar: < 3%.
+  one ``TRACER.enabled`` branch + the loop's dormant stats hook)
+  against direct calls into the internal engine loop.  Hard bar: < 3%.
 * **enabled overhead** — the same sweep with the tracer on (span around
-  each call, stats dict per event loop, metrics publication).  Bounded
+  each call, stats dict per run, metrics publication).  Bounded
   at < 100% — tracing may cost, but never an order of magnitude.
 
 Cross-commit drift of the underlying engine throughput is separately
@@ -41,13 +41,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.trace import TRACER
-from repro.sim.engine import (
-    _prepare,
-    _simulate_heap,
-    _simulate_ledgered,
-    finalize,
-    simulate,
-)
+from repro.sim.engine import _prepare, _run, finalize, simulate
 
 DISABLED_OVERHEAD_BAR = 0.03
 ENABLED_OVERHEAD_BAR = 1.0
@@ -99,29 +93,24 @@ def _run_public(cases):
 
 
 def _run_direct(cases):
-    """The engine loops without the instrumented public dispatch."""
+    """The engine loop without the instrumented public entry."""
     for ops, ledger in cases:
         schedule = _prepare(ops)
         durations = [op.duration for op in ops]
-        acquires = [op.mem_acquire for op in ops]
-        if ledger is None or not any(acquires):
-            times = _simulate_heap(schedule, durations)
-        else:
-            times = _simulate_ledgered(schedule, durations, acquires,
-                                       [op.mem_release for op in ops],
-                                       ledger)
+        times = _run(schedule, durations, [op.mem_acquire for op in ops],
+                     [op.mem_release for op in ops], ledger)
         finalize(ops, schedule, durations, times)
 
 
 def test_disabled_overhead_under_3_percent(bench_writer):
-    """Acceptance: tracer-off ``simulate()`` within 3% of the raw loops."""
+    """Acceptance: tracer-off ``simulate()`` within 3% of the raw loop."""
     assert not TRACER.enabled
     cases = _sweep_cases()
     reps = 9
     _time_best(_run_public, cases, 1)  # warm up
     direct_s, public_s = _time_paired(_run_direct, _run_public, cases, reps)
     disabled_frac = max(0.0, public_s / direct_s - 1.0)
-    print(f"\ndisabled instrumentation: raw loops {direct_s * 1e3:.1f} ms, "
+    print(f"\ndisabled instrumentation: raw loop {direct_s * 1e3:.1f} ms, "
           f"public simulate {public_s * 1e3:.1f} ms "
           f"({disabled_frac * 100:+.2f}%)")
     bench_writer.emit("obs_overhead", {

@@ -38,7 +38,6 @@ from .solver import (
     portfolio_search,
     solve_aco,
     solve_dp,
-    solve_ilp,
 )
 from .stages import generate_stages, make_plan
 
@@ -52,7 +51,7 @@ __all__ = [
     "apply_recompute", "RecomputeResult", "admissible",
     "occupancy", "swap_in_throughput", "catch_up_step", "estimate_blocking",
     "OccupancyEstimate",
-    "PartitionProblem", "solve_dp", "solve_ilp", "solve_aco", "local_search",
+    "PartitionProblem", "solve_dp", "solve_aco", "local_search",
     "portfolio_search", "PortfolioResult", "RejectedCandidate",
     "SOLVER_VERSION",
     "AcoConfig",

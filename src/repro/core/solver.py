@@ -1,7 +1,7 @@
 """Solvers for the contiguous-partition (blocking) problem of Opt-1.
 
 The paper formulates blocking as a two-tier ILP (Fig. 4) and solves it with
-MIDACO, an ant-colony MINLP metaheuristic.  We provide three interchangeable
+MIDACO, an ant-colony MINLP metaheuristic.  We provide two interchangeable
 engines over the same problem:
 
 * :func:`solve_dp` — exact dynamic program over the *pairwise surrogate*
@@ -10,10 +10,6 @@ engines over the same problem:
   "(previous boundary, current boundary)" graph whose arcs all point to a
   larger boundary, so one sweep over boundaries in increasing order
   settles every state exactly once.
-* :func:`solve_ilp` — the same shortest-path problem written as a 0/1
-  min-cost-flow ILP and handed to HiGHS via ``scipy.optimize.milp``;
-  included to reproduce the paper's ILP formulation and to cross-check the
-  DP (they must agree — tests assert it).
 * :func:`solve_aco` — an ant-colony metaheuristic (the MIDACO stand-in)
   that optimizes an arbitrary *exact* objective callback (the event
   simulator's makespan), seeded by the DP solution.
@@ -162,94 +158,6 @@ def solve_dp(problem: PartitionProblem) -> List[int]:
         a, b = int(prev[a, b]), a
         boundaries.append(b)
     return boundaries[::-1]
-
-
-def solve_ilp(problem: PartitionProblem,
-              time_limit: float = 30.0) -> List[int]:
-    """The same pairwise-surrogate problem as a 0/1 flow ILP (HiGHS).
-
-    Nodes are (a, b) block states plus a source and sink; each unit-flow arc
-    selects a block transition.  Intended for modest segment counts (the
-    cross-validation role); use :func:`solve_dp` at scale.  SciPy is
-    imported here, so the planner, which never calls this, does not load it.
-    """
-    from scipy import optimize, sparse
-
-    u = problem.num_segments
-    nodes: List[Tuple[int, int]] = []
-    node_id: Dict[Tuple[int, int], int] = {}
-
-    def get_node(state: Tuple[int, int]) -> int:
-        if state not in node_id:
-            node_id[state] = len(nodes)
-            nodes.append(state)
-        return node_id[state]
-
-    arcs: List[Tuple[int, int, float]] = []  # (tail node, head node, cost)
-    SOURCE = get_node((-1, 0))
-    # first blocks
-    frontier = []
-    for b in problem.spans(0):
-        if problem.block_feasible(0, b):
-            n = get_node((0, b))
-            arcs.append((SOURCE, n, problem.first_cost(0, b)))
-            frontier.append((0, b))
-    # expansions (BFS over reachable states)
-    seen = set(frontier)
-    qi = 0
-    while qi < len(frontier):
-        a, b = frontier[qi]
-        qi += 1
-        if b == u:
-            continue
-        for c in problem.spans(b):
-            if not problem.block_feasible(b, c):
-                continue
-            tail = get_node((a, b))
-            head = get_node((b, c))
-            arcs.append((tail, head, problem.pair_cost(a, b, c)))
-            if (b, c) not in seen:
-                seen.add((b, c))
-                frontier.append((b, c))
-    SINK = get_node((u, u))
-    for (a, b) in list(node_id):
-        if b == u and (a, b) != (u, u):
-            arcs.append((node_id[(a, b)], SINK, 0.0))
-    if not any(head == SINK for _, head, _ in arcs):
-        raise ValueError("no feasible partition (ILP graph has no sink arc)")
-
-    n_nodes, n_arcs = len(nodes), len(arcs)
-    costs = np.array([c for _, _, c in arcs])
-    # flow conservation: A x = b with +1 out of source, -1 into sink
-    rows, cols, vals = [], [], []
-    for j, (tail, head, _) in enumerate(arcs):
-        rows.append(tail), cols.append(j), vals.append(1.0)
-        rows.append(head), cols.append(j), vals.append(-1.0)
-    a_eq = sparse.coo_matrix((vals, (rows, cols)),
-                             shape=(n_nodes, n_arcs)).tocsc()
-    b_eq = np.zeros(n_nodes)
-    b_eq[SOURCE] = 1.0
-    b_eq[SINK] = -1.0
-    res = optimize.milp(
-        c=costs,
-        constraints=optimize.LinearConstraint(a_eq, b_eq, b_eq),
-        integrality=np.ones(n_arcs),
-        bounds=optimize.Bounds(0, 1),
-        options={"time_limit": time_limit},
-    )
-    if not res.success:
-        raise RuntimeError(f"HiGHS failed on the blocking ILP: {res.message}")
-    chosen = [arcs[j] for j in range(n_arcs) if res.x[j] > 0.5]
-    # walk the path from source
-    nxt = {tail: head for tail, head, _ in chosen}
-    boundaries: List[int] = []
-    cur = SOURCE
-    while cur in nxt:
-        cur = nxt[cur]
-        state = nodes[cur]
-        if state != (u, u):
-            boundaries.append(state[1])
-    return sorted(set(boundaries))
 
 
 @dataclass

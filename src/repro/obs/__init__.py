@@ -6,7 +6,7 @@ the *inside* of a planning or validation run inspectable:
 
 * :mod:`repro.obs.trace` — a thread-safe span recorder with a
   context-manager API and a near-zero-overhead disabled fast path.  The
-  planner phases, the portfolio sweep, the event-heap simulator, the plan
+  planner phases, the portfolio sweep, the simulation engine, the plan
   cache, and the asynchronous runtime are all instrumented against the
   process-wide :data:`~repro.obs.trace.TRACER`.
 * :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges

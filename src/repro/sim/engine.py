@@ -1,4 +1,4 @@
-"""Deterministic event-heap engine for schedule simulation (part of
+"""Deterministic scheduling engine for schedule simulation (part of
 :mod:`repro.sim`).
 
 Models exactly what the KARMA runtime has on real hardware:
@@ -13,22 +13,23 @@ Models exactly what the KARMA runtime has on real hardware:
   until the ledger has room) and release bytes when it finishes; this is
   how capacity limits delay eager swap-ins.
 
-The engine is the objective function of the blocking/portfolio search, so
-it is built to be *fast*, not just correct:
+There is one scheduling loop, and the ledger is optional.  The loop is
+the seed engine's greedy pass order: drain each resource queue in issue
+order while its head is dep-ready (and, with a ledger, fits).  The
+ledger makes timing order-*dependent*, so this order *is* the spec, and
+bit-identical results with :mod:`repro.sim.reference_engine` are a hard
+invariant.  Without a ledger (``memory_capacity=None``, or no op
+acquires bytes — every distributed pipeline sim) an op's timing depends
+only on its deps and its FIFO predecessor, so any order that schedules
+each op once as its resource's dep-ready head gives the same floats;
+the same loop serves both.  It is the objective function of the
+blocking/portfolio search, so it is built to be *fast*, not just
+correct:
 
 * dependency satisfaction is tracked with per-op **indegree counters and
   reverse-edge wakeups** — scheduling an op touches only its dependents,
-  never the whole queue set;
-* unledgered simulations (no ``memory_capacity``, or no op acquires
-  memory — every distributed pipeline sim) run on a **priority queue of
-  ready resource heads keyed by earliest feasible start**: each op is
-  pushed exactly once, when it reaches its queue head with all deps
-  scheduled, and popped in chronological order;
-* ledgered simulations keep the seed engine's greedy pass order (the
-  ledger makes timing order-*dependent*, and bit-identical results with
-  :mod:`repro.sim.reference_engine` are a hard invariant) but visit only
-  resources whose blocking condition may have changed since the last
-  visit;
+  never the whole queue set, and a pass visits only resources whose
+  blocking condition may have changed since the last visit;
 * the :class:`_MemoryLedger` keeps the event timeline in two sorted
   parallel arrays plus a running total: ``record`` is an
   :math:`O(\\log n)` bisect plus a (C-speed) insert, and ``earliest_fit``
@@ -36,6 +37,12 @@ it is built to be *fast*, not just correct:
   events, since fits land near the schedule frontier — where the seed
   engine rebuilt prefix usages and suffix maxima from scratch on *every*
   acquire.
+
+A priority queue of ready resource heads used to schedule unledgered
+streams.  On the 36 language-model schedules of the benchmark's
+``eval_sweep`` (20 178 ops, none ledgered) it gave the same timings as
+this loop at 1.7x its engine CPU (15.2 against 8.9 ms, 2-core x86 VM),
+so it was deleted.
 
 The engine is fully deterministic (no randomness, no wall clock); one
 training iteration of a 64-block plan is a few hundred events, and the
@@ -66,7 +73,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import METRICS
@@ -477,100 +483,19 @@ def finalize(ops: Sequence[SimOp], schedule: Schedule,
                      resource_busy=resource_busy, resource_span=span)
 
 
-def _simulate_heap(schedule: Schedule, durations: Sequence[float],
-                   stats: Optional[Dict[str, int]] = None) -> Times:
-    """Unledgered path: without a memory ledger an op's timing is a pure
-    function of its deps and its FIFO predecessor, so a priority queue of
-    dep-ready resource heads keyed by earliest feasible start schedules
-    every op exactly once, in chronological order.
+def _run(schedule: Schedule, durations: Sequence[float],
+         acquires: Sequence[int], releases: Sequence[int],
+         memory_capacity: Optional[int],
+         stats: Optional[Dict[str, int]] = None) -> Times:
+    """The scheduling loop: greedy drain of each resource queue in issue
+    order (the seed engine's semantics — ledger placement is
+    order-dependent, so this order *is* the spec), revisiting a resource
+    only when a wakeup (dep scheduled, or any ledger change while its head
+    was deferred) can actually unblock it.  With ``memory_capacity=None``
+    the ledger records nothing and every acquire fits at once.
 
-    ``stats`` (observability, only passed while tracing is enabled)
-    receives the event count and the heap's population peak; when it is
-    None the loop pays a single local-bool check per event.
-    """
-    queues = schedule.queues
-    deps = schedule.deps
-    indeg = list(schedule.indeg)
-    dependents = schedule.dependents
-    queue_of_op = schedule.queue_of_op
-    nq = len(queues)
-    n = schedule.n
-    heads = [0] * nq
-    resource_free = [0.0] * nq
-    starts = [0.0] * n
-    finishes = [0.0] * n
-    readies = [0.0] * n
-
-    heap: List[Tuple[float, int]] = []
-    pushed = [False] * nq   # at most one outstanding entry per queue head
-
-    def push_head(qi: int) -> None:
-        if pushed[qi]:
-            return
-        q = queues[qi]
-        h = heads[qi]
-        if h >= len(q):
-            return
-        i = q[h]
-        if indeg[i]:
-            return
-        ready = 0.0
-        for d in deps[i]:
-            f = finishes[d]
-            if f > ready:
-                ready = f
-        readies[i] = ready
-        free = resource_free[qi]
-        pushed[qi] = True
-        heappush(heap, (ready if ready > free else free, qi))
-
-    for qi in range(nq):
-        push_head(qi)
-
-    track = stats is not None
-    heap_peak = 0
-    remaining = n
-    while heap:
-        if track and len(heap) > heap_peak:
-            heap_peak = len(heap)
-        start, qi = heappop(heap)
-        pushed[qi] = False
-        i = queues[qi][heads[qi]]
-        finish = start + durations[i]
-        starts[i] = start
-        finishes[i] = finish
-        resource_free[qi] = finish
-        heads[qi] += 1
-        remaining -= 1
-        for j in dependents[i]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                dj = queue_of_op[j]
-                if queues[dj][heads[dj]] == j:
-                    push_head(dj)
-        push_head(qi)
-    if remaining:
-        raise SimulationDeadlock(
-            f"no progress; blocked resource heads: "
-            f"{schedule.stuck_heads(heads)}")
-    if stats is not None:
-        stats["events"] = n
-        stats["heap_peak"] = heap_peak
-    return starts, finishes, readies
-
-
-def _simulate_ledgered(schedule: Schedule, durations: Sequence[float],
-                       acquires: Sequence[int], releases: Sequence[int],
-                       memory_capacity: int,
-                       stats: Optional[Dict[str, int]] = None) -> Times:
-    """Ledgered path: greedy drain of each resource queue in issue order
-    (the seed engine's semantics — ledger placement is order-dependent, so
-    this order *is* the spec), revisiting a resource only when a wakeup
-    (dep scheduled, or any ledger change while its head was deferred) can
-    actually unblock it.
-
-    ``stats`` (observability) receives the event count and ledger
-    telemetry post hoc — the scheduling loop itself is untouched.
+    ``stats`` (observability) receives the event count and, when there is
+    a ledger, its event count, post hoc — the loop itself is untouched.
     """
     queues = schedule.queues
     deps = schedule.deps
@@ -651,7 +576,8 @@ def _simulate_ledgered(schedule: Schedule, durations: Sequence[float],
                 f"{schedule.stuck_heads(heads)}")
     if stats is not None:
         stats["events"] = n
-        stats["ledger_events"] = len(ledger._times)
+        if memory_capacity is not None:
+            stats["ledger_events"] = len(ledger._times)
     return starts, finishes, readies
 
 
@@ -698,18 +624,11 @@ def run_schedule(schedule: Schedule, durations: Sequence[float],
 
     The engine behind :func:`simulate`, for callers that keep a
     :class:`Schedule` and re-price it: same arguments per op position,
-    same dispatch (the unledgered heap path when no op acquires memory),
     same :class:`SimulationDeadlock`; returns (starts, finishes, readies)
     instead of a :class:`SimResult`.
     """
-    if memory_capacity is None or not any(acquires):
-        if not TRACER.enabled:
-            return _simulate_heap(schedule, durations)
-        return _simulate_instrumented(schedule, durations, acquires,
-                                      releases, None)
     if not TRACER.enabled:
-        return _simulate_ledgered(schedule, durations, acquires, releases,
-                                  memory_capacity)
+        return _run(schedule, durations, acquires, releases, memory_capacity)
     return _simulate_instrumented(schedule, durations, acquires, releases,
                                   memory_capacity)
 
@@ -717,23 +636,15 @@ def run_schedule(schedule: Schedule, durations: Sequence[float],
 def _simulate_instrumented(schedule: Schedule, durations: Sequence[float],
                            acquires: Sequence[int], releases: Sequence[int],
                            memory_capacity: Optional[int]) -> Times:
-    """Tracing-enabled twin of the :func:`run_schedule` dispatch:
-    identical timings, plus a span and engine-stat metrics (events
-    processed, ledger events, heap population peak)."""
+    """:func:`run_schedule` with tracing on: the same loop inside a span,
+    plus engine-stat metrics (events processed, ledger events)."""
     stats: Dict[str, int] = {}
-    path = "heap" if memory_capacity is None else "ledgered"
-    with TRACER.span("sim.simulate", "sim", ops=schedule.n,
-                     path=path) as sp:
-        if memory_capacity is None:
-            times = _simulate_heap(schedule, durations, stats)
-        else:
-            times = _simulate_ledgered(schedule, durations, acquires,
-                                       releases, memory_capacity, stats)
+    with TRACER.span("sim.simulate", "sim", ops=schedule.n) as sp:
+        times = _run(schedule, durations, acquires, releases,
+                     memory_capacity, stats)
         sp.set(**stats)
     METRICS.counter("sim.runs").inc()
     METRICS.counter("sim.events").inc(schedule.n)
-    if "heap_peak" in stats:
-        METRICS.histogram("sim.heap_peak").observe(stats["heap_peak"])
     if "ledger_events" in stats:
         METRICS.histogram("sim.ledger_events").observe(
             stats["ledger_events"])

@@ -18,7 +18,6 @@ from repro.core import (
     solve_aco,
     solve_blocking,
     solve_dp,
-    solve_ilp,
 )
 from repro.core.blocking import coarsen_segments, pinned_bytes_per_block
 from repro.costs import profile_graph
@@ -49,24 +48,6 @@ class TestSolvers:
         assert bounds[-1] == 10
         assert bounds == sorted(set(bounds))
         assert all(b - a <= 4 for a, b in zip([0] + bounds[:-1], bounds))
-
-    def test_dp_and_ilp_agree(self):
-        """The ILP is the DP's cross-check: same surrogate, same optimum."""
-        import numpy as np
-        rng = np.random.default_rng(3)
-        costs = list(rng.random(9))
-        prob = _toy_problem(costs)
-
-        def total(bounds):
-            t = 0.0
-            prev = [0] + bounds[:-1]
-            for i in range(1, len(bounds)):
-                t += prob.pair_cost(prev[i - 1], prev[i], bounds[i])
-            return t
-
-        dp = solve_dp(prob)
-        ilp = solve_ilp(prob)
-        assert total(dp) == pytest.approx(total(ilp), abs=1e-9)
 
     def test_infeasible_problem_raises(self):
         prob = _toy_problem([1.0] * 10, feas=lambda a, b: False)

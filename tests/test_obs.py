@@ -28,7 +28,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.trace import TRACER, Tracer
 from repro.runtime import AsyncOutOfCoreExecutor
 from repro.sim import SimOp, simulate
@@ -405,17 +405,22 @@ class TestTimelineTracks:
 # ---------------------------------------------------------------------------
 
 class TestInstrumentationNeutrality:
-    def test_simulate_identical_with_tracing(self):
+    @pytest.mark.parametrize("capacity", [12, None])
+    def test_simulate_identical_with_tracing(self, capacity):
+        """Traced and untraced runs give the same timings, with and
+        without a ledger; only a ledgered run observes ledger events."""
         ops = [
             SimOp(0, "gpu", 1.0, label="F1", mem_acquire=8),
             SimOp(1, "d2h", 2.0, deps=(0,), label="Sout1", mem_release=8),
             SimOp(2, "h2d", 2.0, deps=(1,), label="Sin1", mem_acquire=8),
             SimOp(3, "gpu", 1.5, deps=(2,), label="B1", mem_release=8),
         ]
-        base = simulate(ops, memory_capacity=12)
+        base = simulate(ops, memory_capacity=capacity)
+        ledger_events = METRICS.histogram("sim.ledger_events")
+        observed = ledger_events.count
         TRACER.enable()
         try:
-            traced = simulate(ops, memory_capacity=12)
+            traced = simulate(ops, memory_capacity=capacity)
         finally:
             TRACER.disable()
         assert traced.makespan == base.makespan
@@ -426,6 +431,9 @@ class TestInstrumentationNeutrality:
         sim_spans = [s for s in spans if s.name == "sim.simulate"]
         assert len(sim_spans) == 1
         assert sim_spans[0].args["events"] == len(ops)
+        ledgered = capacity is not None
+        assert ledger_events.count - observed == ledgered
+        assert ("ledger_events" in sim_spans[0].args) == ledgered
 
 
 # ---------------------------------------------------------------------------
