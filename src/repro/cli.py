@@ -1034,8 +1034,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="memory hierarchy preset")
     p.add_argument("--link", choices=LINKS, default="calibrated",
                    help="host<->device swap link preset")
+    # repro.core.blocking.BLOCKING_METHODS, spelled out so that parsing
+    # arguments does not import the planner
     p.add_argument("--method", default="auto",
-                   choices=("auto", "dp", "aco", "uniform"))
+                   choices=("auto", "dp", "uniform"))
     p.add_argument("--placement", default="auto",
                    choices=("auto", "bandwidth", "pressure"))
     p.add_argument("--max-span", type=int, default=64)

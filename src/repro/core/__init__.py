@@ -30,13 +30,11 @@ from .schedule import (
 )
 from .solver import (
     SOLVER_VERSION,
-    AcoConfig,
     PartitionProblem,
     PortfolioResult,
     RejectedCandidate,
     local_search,
     portfolio_search,
-    solve_aco,
     solve_dp,
 )
 from .stages import generate_stages, make_plan
@@ -51,8 +49,7 @@ __all__ = [
     "apply_recompute", "RecomputeResult", "admissible",
     "occupancy", "swap_in_throughput", "catch_up_step", "estimate_blocking",
     "OccupancyEstimate",
-    "PartitionProblem", "solve_dp", "solve_aco", "local_search",
+    "PartitionProblem", "solve_dp", "local_search",
     "portfolio_search", "PortfolioResult", "RejectedCandidate",
     "SOLVER_VERSION",
-    "AcoConfig",
 ]

@@ -8,9 +8,10 @@ Pipeline:
    this is how residual blocks stay whole (constraint 9.3's dependency
    closure at block granularity).
 2. **Search** boundary vectors with the solver suite: exact DP on the
-   pairwise stall surrogate, refined by local search (and optionally ACO)
-   against the *event-simulated* makespan — the paper's occupancy objective,
-   since minimizing stalls at fixed compute maximizes Eq. 8's occupancy.
+   pairwise stall surrogate, priced with the rest of a candidate portfolio
+   and refined by local search against the *event-simulated* makespan —
+   the paper's occupancy objective, since minimizing stalls at fixed
+   compute maximizes Eq. 8's occupancy.
 3. **Assign residency**: the capacity-based strategy keeps the largest
    suffix of blocks resident that fits alongside a double-buffered prefetch
    margin (Fig. 2b: "no swap-out if memory available").
@@ -23,7 +24,6 @@ stash (§III-F.4 support).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -34,14 +34,7 @@ from ..graph.layer_graph import LayerGraph
 from ..graph.traversal import checkpoint_boundaries
 from ..hardware.tiering import MemoryHierarchy
 from .schedule import BlockPolicy
-from .solver import (
-    AcoConfig,
-    PartitionProblem,
-    local_search,
-    portfolio_search,
-    solve_aco,
-    solve_dp,
-)
+from .solver import PartitionProblem, local_search, portfolio_search, solve_dp
 from .stages import make_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -290,21 +283,25 @@ def _uniform_bounds(u: int, k: int) -> List[int]:
     return bounds
 
 
-#: Entry cap for each of the evaluator's memo layers (realize / place /
-#: plan).  Grid sweeps stay well below this; it only guards ACO runs that
-#: probe thousands of candidates from hoarding memory.
-_EVALUATOR_CACHE_ENTRIES = 4096
+#: The Opt-1 search methods :func:`solve_blocking` accepts.
+BLOCKING_METHODS = ("auto", "dp", "uniform")
+
+
+def check_method(method: str) -> None:
+    """Raise ``ValueError`` naming the choices unless ``method`` is one of
+    :data:`BLOCKING_METHODS`."""
+    if method not in BLOCKING_METHODS:
+        raise ValueError(f"unknown method {method!r}; choose one of "
+                         f"{', '.join(BLOCKING_METHODS)}")
 
 
 @dataclass
 class CandidateEvaluator:
     """Prices one (boundaries, margin, placement policy) grid point.
 
-    Module-level (not a closure) so :func:`~repro.core.solver.
-    portfolio_search` can ship it to process workers by pickle.  Raises
-    the underlying infeasibility error instead of flattening it to ``inf``
-    — the portfolio search is responsible for skipping and recording
-    rejected combinations.
+    Raises the underlying infeasibility error instead of flattening it to
+    ``inf`` — the portfolio search is responsible for skipping and
+    recording rejected combinations.
 
     Evaluation is *batched*: every stage of a grid point's pricing
     pipeline is memoized across calls.  Residency, tier placement and each
@@ -314,8 +311,16 @@ class CandidateEvaluator:
     :class:`~repro.sim.trainer_sim.LoweringCache` (``lowering``), so
     similar plans reuse the lowered skeleton with re-bound durations.  The
     memos hold scalars and atomic keys, never an exception, a simulation
-    or a plan.  The portfolio sweep, local search and ACO refinement all
-    hit the same caches — their neighbourhoods overlap heavily.
+    or a plan.  The portfolio sweep and local search hit the same caches —
+    their neighbourhoods overlap heavily.
+
+    The memos are plain dicts and never evict.  Each pricing adds at most
+    one entry to each, and one :func:`solve_blocking` prices at most 36
+    sweep points (<= 6 candidates x 3 margins x 2 placement policies) plus
+    local search's start and 2 passes of <= 2(k-1) shifts, k-1 merges and
+    k splits over k <= ``max_units`` = 160 blocks: 1311 entries at most.
+    The largest seen over the Fig. 5 grid is 260 (resnet1001, batch 192,
+    ``abci``).
     """
 
     inputs: BlockingInputs
@@ -332,39 +337,23 @@ class CandidateEvaluator:
 
             self.lowering = LoweringCache(self.cost, self.capacity,
                                           self.hierarchy)
-        self._realize_cache: OrderedDict = OrderedDict()
-        self._place_cache: OrderedDict = OrderedDict()
-        self._plan_cache: OrderedDict = OrderedDict()
+        self._realize_cache: Dict[tuple, tuple] = {}
+        self._place_cache: Dict[tuple, Dict[int, int]] = {}
+        self._plan_cache: Dict[tuple, object] = {}
         self.memo_hits = 0   # pricings answered by _plan_cache
-
-    @staticmethod
-    def _memo(store: OrderedDict, key, value):
-        store[key] = value
-        if len(store) > _EVALUATOR_CACHE_ENTRIES:
-            store.popitem(last=False)
-        return value
-
-    @staticmethod
-    def _recall(store: OrderedDict, key):
-        """LRU lookup: refresh recency on hit so hot shared entries are
-        not evicted in insertion order."""
-        value = store.get(key)
-        if value is not None:
-            store.move_to_end(key)
-        return value
 
     def realize(self, bounds: Sequence[int], margin: float
                 ) -> Tuple[List[Tuple[int, int]], List[BlockPolicy]]:
         """Turn segment boundaries + a residency margin into concrete
         layer blocks and per-block policies (memoized)."""
         key = (tuple(bounds), margin)
-        hit = self._recall(self._realize_cache, key)
+        hit = self._realize_cache.get(key)
         if hit is None:
             seg_bounds = list(bounds)
             blocks = [self.inputs.layers_of(a, b)
                       for a, b in zip([0] + seg_bounds[:-1], seg_bounds)]
             policies = assign_policies(self.inputs, seg_bounds, margin)
-            hit = self._memo(self._realize_cache, key, (blocks, policies))
+            hit = self._realize_cache[key] = (blocks, policies)
         # copies: callers (Opt-2, local search) mutate policy lists freely
         return list(hit[0]), list(hit[1])
 
@@ -378,12 +367,11 @@ class CandidateEvaluator:
         if self.hierarchy is None or ppolicy is None:
             return {}
         key = (tuple(blocks), tuple(policies), ppolicy)
-        hit = self._recall(self._place_cache, key)
+        hit = self._place_cache.get(key)
         if hit is None:
-            hit = self._memo(
-                self._place_cache, key,
-                assign_tiers(blocks, policies, self.cost, self.hierarchy,
-                             policy=ppolicy).placements)
+            hit = self._place_cache[key] = assign_tiers(
+                blocks, policies, self.cost, self.hierarchy,
+                policy=ppolicy).placements
         return dict(hit)
 
     def __call__(self, bounds: Sequence[int], margin: float,
@@ -394,7 +382,7 @@ class CandidateEvaluator:
         placements = self.place(blocks, policies, ppolicy)
         key = (tuple(blocks), tuple(policies),
                tuple(sorted(placements.items())))
-        priced = self._recall(self._plan_cache, key)
+        priced = self._plan_cache.get(key)
         if priced is not None:
             self.memo_hits += 1
         else:  # a ValueError from make_plan propagates un-memoized
@@ -407,7 +395,7 @@ class CandidateEvaluator:
                                        cache=self.lowering).makespan
             except OutOfCoreInfeasible as exc:
                 priced = str(exc)
-            self._memo(self._plan_cache, key, priced)
+            self._plan_cache[key] = priced
         if isinstance(priced, str):
             raise OutOfCoreInfeasible(priced)
         return priced
@@ -421,8 +409,8 @@ class CandidateEvaluator:
 
     def safe(self, bounds: Sequence[int], margin: float,
              ppolicy: Optional[str]) -> float:
-        """``inf``-on-reject wrapper for the refinement loops (local
-        search / ACO probe many illegal neighbours by design)."""
+        """``inf``-on-reject wrapper for local search, which probes many
+        illegal neighbours by design."""
         from ..sim.trainer_sim import OutOfCoreInfeasible
         from ..tiering.placement import PlacementError
 
@@ -435,7 +423,6 @@ class CandidateEvaluator:
 def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
                    model_name: str, batch_size: int,
                    method: str = "auto", max_span: int = 64,
-                   aco_config: Optional[AcoConfig] = None,
                    hierarchy: Optional[MemoryHierarchy] = None,
                    placement_policy: str = "auto",
                    lowering: "Optional[LoweringCache]" = None
@@ -446,18 +433,15 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
         graph/cost/capacity: the planning context — model graph, its
             profiled cost model, and the device capacity in bytes.
         model_name/batch_size: stamped onto the trial plans.
-        method: search strategy —
+        method: search strategy, one of :data:`BLOCKING_METHODS` —
 
             * ``'auto'``    — candidate portfolio (DP surrogate,
               per-segment fine blocking, uniform-K) x residency margins,
               scored by the event simulator, refined by local search;
             * ``'dp'``      — DP surrogate boundaries only (ablation);
-            * ``'aco'``     — 'auto' seed + ant-colony refinement
-              (MIDACO role);
             * ``'uniform'`` — naive equal-segment blocks (ablation
               baseline).
         max_span: cap on block span in coarsened segments.
-        aco_config: ant-colony knobs for ``method='aco'``.
         hierarchy: adds a third search dimension — the stash placement
             policy — and scores every candidate with tier-aware
             simulation: a candidate whose stash overflows the DRAM budget
@@ -475,10 +459,15 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
     Returns:
         A :class:`BlockingResult` — blocks, policies, placements, the
         simulated objective, and search diagnostics.
+
+    Raises:
+        ValueError: ``method`` is not in :data:`BLOCKING_METHODS`, or no
+            blocking fits the device.
     """
     from ..sim.trainer_sim import OutOfCoreInfeasible, simulate_plan
     from ..tiering.placement import PlacementError
 
+    check_method(method)
     inputs = build_inputs(graph, cost, capacity)
     u = inputs.num_segments
 
@@ -510,21 +499,20 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
                                    hierarchy=hierarchy, lowering=lowering)
 
     # candidate portfolio ----------------------------------------------------
+    overflow = inputs.seg_stash.sum() / max(1, inputs.ledger_capacity)
+    k_fit = max(2, int(math.ceil(2 * overflow)))
     candidates: List[List[int]] = []
-    if method in ("auto", "dp", "aco"):
+    if method == "uniform":
+        candidates.append(_uniform_bounds(u, k_fit))
+    else:
         try:
             candidates.append(solve_dp(problem))
         except ValueError:
             pass
-    if method in ("auto", "aco"):
+    if method == "auto":
         candidates.append(list(range(1, u + 1)))  # per-segment fine blocking
-        overflow = inputs.seg_stash.sum() / max(1, inputs.ledger_capacity)
-        for k in {max(2, int(math.ceil(2 * overflow))), 8, 16, u // 4 or 2}:
+        for k in {k_fit, 8, 16, u // 4 or 2}:
             candidates.append(_uniform_bounds(u, k))
-    if method == "uniform":
-        overflow = inputs.seg_stash.sum() / max(1, inputs.ledger_capacity)
-        candidates.append(_uniform_bounds(
-            u, max(2, int(math.ceil(2 * overflow)))))
 
     sweep = portfolio_search(
         candidates, (margins, ppolicies), evaluator,
@@ -538,16 +526,11 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
                f"{rejected[0]})" if rejected else ""))
     best_margin, best_ppolicy = best_dims
 
-    if method in ("auto", "aco"):
-        margin, ppol = best_margin, best_ppolicy
+    if method == "auto":
         best_bounds, best_value = local_search(
-            best_bounds, u, lambda bs: evaluator.safe(bs, margin, ppol),
+            best_bounds, u,
+            lambda bs: evaluator.safe(bs, best_margin, best_ppolicy),
             problem.block_feasible, max_passes=2)
-    if method == "aco":
-        margin, ppol = best_margin, best_ppolicy
-        best_bounds, best_value = solve_aco(
-            problem, lambda bs: evaluator.safe(bs, margin, ppol),
-            seed_boundaries=best_bounds, config=aco_config)
 
     blocks, policies = evaluator.realize(best_bounds, best_margin)
     placements = evaluator.place(blocks, policies, best_ppolicy)

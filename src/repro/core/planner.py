@@ -36,7 +36,7 @@ from ..hardware.spec import (
 from ..hardware.tiering import MemoryHierarchy
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACER
-from .blocking import BlockingResult, solve_blocking
+from .blocking import BlockingResult, check_method, solve_blocking
 from .recompute import RecomputeResult, apply_recompute
 from .schedule import BlockPolicy, ExecutionPlan
 from .stages import make_plan
@@ -251,8 +251,9 @@ def plan(graph: LayerGraph, batch_size: int, *,
             study the PCIe regime.
         recompute: run the Opt-2 interleave; ``False`` yields the pure
             capacity-based strategy ("KARMA" vs "KARMA w/ recompute").
-        method: Opt-1 search method (``'auto'``/``'dp'``/``'aco'``/
-            ``'uniform'``, see :func:`repro.core.blocking.solve_blocking`).
+        method: Opt-1 search method (``'auto'``/``'dp'``/``'uniform'``,
+            see :func:`repro.core.blocking.solve_blocking`); any other
+            value raises ``ValueError`` before the cache is consulted.
         max_span: cap on block span in coarsened segments.
         capacity: device-capacity override in bytes (defaults to the
             device's usable memory).
@@ -286,6 +287,7 @@ def plan(graph: LayerGraph, batch_size: int, *,
     """
     from ..tiering.placement import PlacementResult, assign_tiers
 
+    check_method(method)
     device = device or v100_sxm2_16gb()
     host = host or abci_host()
     transfer = transfer or TransferModel(link=karma_swap_link(),

@@ -1,8 +1,8 @@
 """Solvers for the contiguous-partition (blocking) problem of Opt-1.
 
 The paper formulates blocking as a two-tier ILP (Fig. 4) and solves it with
-MIDACO, an ant-colony MINLP metaheuristic.  We provide two interchangeable
-engines over the same problem:
+MIDACO, an ant-colony MINLP metaheuristic.  This module covers that role
+with three stages over the same problem:
 
 * :func:`solve_dp` — exact dynamic program over the *pairwise surrogate*
   objective (sum over consecutive block pairs of their uncovered swap time).
@@ -10,9 +10,11 @@ engines over the same problem:
   "(previous boundary, current boundary)" graph whose arcs all point to a
   larger boundary, so one sweep over boundaries in increasing order
   settles every state exactly once.
-* :func:`solve_aco` — an ant-colony metaheuristic (the MIDACO stand-in)
-  that optimizes an arbitrary *exact* objective callback (the event
-  simulator's makespan), seeded by the DP solution.
+* :func:`portfolio_search` — prices a candidate portfolio (the DP
+  solution among them) against an arbitrary *exact* objective callback
+  (the event simulator's makespan).
+* :func:`local_search` — hill climbing from the portfolio winner under
+  the same exact objective.
 
 All solvers work in "segment space": layers are first coarsened into atomic
 segments at checkpoint boundaries, so a boundary vector is a subset of
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from typing import (
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -158,94 +159,6 @@ def solve_dp(problem: PartitionProblem) -> List[int]:
         a, b = int(prev[a, b]), a
         boundaries.append(b)
     return boundaries[::-1]
-
-
-@dataclass
-class AcoConfig:
-    """Ant-colony hyper-parameters (MIDACO-style defaults, small budget)."""
-
-    ants: int = 12
-    iterations: int = 20
-    alpha: float = 1.0        # pheromone exponent
-    beta: float = 1.5         # heuristic exponent
-    rho: float = 0.25         # evaporation
-    q0: float = 0.3           # greedy-choice probability
-    seed: int = 0
-
-
-def solve_aco(problem: PartitionProblem,
-              objective: Callable[[List[int]], float],
-              seed_boundaries: Optional[List[int]] = None,
-              config: Optional[AcoConfig] = None) -> Tuple[List[int], float]:
-    """Ant-colony search over boundary vectors with an exact objective.
-
-    ``objective`` prices a candidate boundary list (e.g. simulated
-    makespan; ``inf`` marks infeasible).  Returns the best (boundaries,
-    objective value) found, never worse than the seed.
-    """
-    cfg = config or AcoConfig()
-    u = problem.num_segments
-    rng = np.random.default_rng(cfg.seed)
-    pheromone: Dict[Tuple[int, int], float] = {}
-
-    def tau(a: int, b: int) -> float:
-        return pheromone.get((a, b), 1.0)
-
-    def heuristic(a: int, b: int, c: int) -> float:
-        return 1.0 / (1.0 + problem.pair_cost(a, b, c))
-
-    best_b: Optional[List[int]] = None
-    best_v = math.inf
-    if seed_boundaries is not None:
-        v = objective(list(seed_boundaries))
-        if math.isfinite(v):
-            best_b, best_v = list(seed_boundaries), v
-            for a, b in zip([0] + list(seed_boundaries), seed_boundaries):
-                pheromone[(a, b)] = 2.0
-
-    for _ in range(cfg.iterations):
-        trails: List[Tuple[List[int], float]] = []
-        for _ant in range(cfg.ants):
-            bounds: List[int] = []
-            a, b = 0, 0
-            ok = True
-            while b < u:
-                choices = [c for c in problem.spans(b)
-                           if problem.block_feasible(b, c)]
-                if not choices:
-                    ok = False
-                    break
-                weights = np.array([
-                    tau(b, c) ** cfg.alpha *
-                    (heuristic(a, b, c) if b > 0 else 1.0) ** cfg.beta
-                    for c in choices])
-                total = weights.sum()
-                if total <= 0 or not np.isfinite(total):
-                    c = int(rng.choice(choices))
-                elif rng.random() < cfg.q0:
-                    c = choices[int(np.argmax(weights))]
-                else:
-                    c = int(rng.choice(choices, p=weights / total))
-                bounds.append(c)
-                a, b = b, c
-            if not ok:
-                continue
-            v = objective(bounds)
-            if math.isfinite(v):
-                trails.append((bounds, v))
-                if v < best_v:
-                    best_b, best_v = bounds, v
-        # evaporation + deposit by this iteration's elite
-        for key in list(pheromone):
-            pheromone[key] *= (1.0 - cfg.rho)
-        for bounds, v in sorted(trails, key=lambda t: t[1])[:3]:
-            deposit = 1.0 / (1.0 + v)
-            for a, b in zip([0] + bounds, bounds):
-                pheromone[(a, b)] = pheromone.get((a, b), 1.0) + deposit
-
-    if best_b is None:
-        raise ValueError("ACO found no feasible partition")
-    return best_b, best_v
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ repeated passes over the resource queues in issue order, draining each
 head while its dependencies are scheduled and the memory ledger admits it,
 with the ledger rebuilding the merged event timeline and suffix maxima
 from scratch on every acquire.  It is :math:`O(\\text{events}^2)` per
-simulation and exists only so tests can assert that the event-heap engine
+simulation and exists only so tests can assert that the production engine
 produces **bit-identical** timings (`tests/test_engine_differential.py`)
 and so ``benchmarks/bench_engine.py`` can measure the speedup honestly.
 

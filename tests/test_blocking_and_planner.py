@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.core import (
-    AcoConfig,
     BlockPolicy,
     PartitionProblem,
     admissible,
@@ -15,11 +14,14 @@ from repro.core import (
     local_search,
     plan,
     segment_graph,
-    solve_aco,
     solve_blocking,
     solve_dp,
 )
-from repro.core.blocking import coarsen_segments, pinned_bytes_per_block
+from repro.core.blocking import (
+    BLOCKING_METHODS,
+    coarsen_segments,
+    pinned_bytes_per_block,
+)
 from repro.costs import profile_graph
 from repro.sim import simulate_plan
 
@@ -53,20 +55,6 @@ class TestSolvers:
         prob = _toy_problem([1.0] * 10, feas=lambda a, b: False)
         with pytest.raises(ValueError):
             solve_dp(prob)
-
-    def test_aco_never_worse_than_seed(self):
-        prob = _toy_problem([1.0] * 10)
-        seed = solve_dp(prob)
-
-        def objective(bounds):
-            prev = [0] + bounds[:-1]
-            return sum(prob.pair_cost(prev[i - 1], prev[i], bounds[i])
-                       for i in range(1, len(bounds))) + 0.001 * len(bounds)
-
-        seed_val = objective(seed)
-        best, val = solve_aco(prob, objective, seed_boundaries=seed,
-                              config=AcoConfig(ants=6, iterations=6, seed=1))
-        assert val <= seed_val + 1e-12
 
     def test_local_search_monotone(self):
         prob = _toy_problem([1.0] * 12)
@@ -138,6 +126,14 @@ class TestBlocking:
                               method="auto")
         assert auto.objective <= uni.objective + 1e-12
 
+    def test_unknown_method_rejected_on_entry(self, small_cnn, platform):
+        device, _, transfer = platform
+        cost = profile_graph(small_cnn, device, transfer, 2)
+        # in core: the search would return at once, whatever the method
+        with pytest.raises(ValueError, match="unknown method 'aco'"):
+            solve_blocking(small_cnn, cost, device.usable_memory,
+                           small_cnn.name, 2, method="aco")
+
 
 class TestRecompute:
     def test_admissibility_constraint_10_1(self, small_cnn, platform):
@@ -165,6 +161,18 @@ class TestRecompute:
 
 
 class TestPlannerEndToEnd:
+    def test_unknown_method_rejected_before_cache_lookup(self, small_cnn):
+        """A cache entry written under a retired method is never
+        replayed: ``plan`` rejects the method before it asks the cache."""
+        class StubCache:
+            def get(self, key):
+                raise AssertionError("cache consulted for a bad method")
+
+        with pytest.raises(ValueError) as err:
+            plan(small_cnn, batch_size=2, method="aco", cache=StubCache())
+        assert "'aco'" in str(err.value)
+        assert all(m in str(err.value) for m in BLOCKING_METHODS)
+
     def test_incore_plan(self, small_cnn):
         kp = plan(small_cnn, batch_size=2)
         assert not kp.is_out_of_core

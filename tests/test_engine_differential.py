@@ -1,9 +1,9 @@
-"""Differential tests: the production engine (``simulate``, event-heap and
-ledgered paths) and the seed round-robin oracle (``sim.reference_engine``)
-must be bit-identical on every op stream — randomized DAGs, plan-shaped
-pipeline lowerings with multi-hop tiered swaps, distributed pipelines, and
-the compiled streams of every registry model.  The batched lowering cache
-must be value-transparent."""
+"""Differential tests: the production engine (``simulate``, with and
+without a memory ledger) and the seed round-robin oracle
+(``sim.reference_engine``) must be bit-identical on every op stream —
+randomized DAGs, plan-shaped pipeline lowerings with multi-hop tiered
+swaps, distributed pipelines, and the compiled streams of every registry
+model.  The batched lowering cache must be value-transparent."""
 
 import math
 
@@ -145,7 +145,7 @@ def pipeline_lowerings(draw):
 def distributed_dags(draw):
     """Multi-worker pipeline DAGs: per-worker GPU chains, cross-worker
     activations hops, and a shared allreduce resource — unledgered, so
-    the event-heap path (not the ledgered greedy pass) runs."""
+    the engine runs with no memory ledger."""
     workers = draw(st.integers(min_value=2, max_value=4))
     depth = draw(st.integers(min_value=2, max_value=6))
     dur = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)

@@ -9,6 +9,7 @@ state (merges attached, queue full) and only then releases it.
 
 from __future__ import annotations
 
+import argparse
 import json
 import multiprocessing
 import os
@@ -388,6 +389,12 @@ class TestDaemonWithRealPlanner:
         assert cold.record == hot.record
         assert "tier_bytes" in cold.record
 
+    def test_unknown_method_fails_naming_it(self):
+        with PlannerDaemon() as daemon:
+            with pytest.raises(PlanningFailed, match="unknown method 'aco'"):
+                daemon.request({"model": "unet", "batch": 16,
+                                "method": "aco"})
+
     def test_warm_tier_after_daemon_restart(self, tmp_path):
         with PlannerDaemon(cache=PlanCache(cache_dir=tmp_path / "p")) as d:
             assert d.request({"model": "unet", "batch": 8}).tier == "cold"
@@ -587,6 +594,16 @@ class TestServeCli:
 
         args = build_parser().parse_args(["serve", "--socket", "x"])
         assert _service_config(args) == ServiceConfig()
+
+    def test_plan_method_choices_are_blocking_methods(self):
+        from repro.cli import build_parser
+        from repro.core.blocking import BLOCKING_METHODS
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in sub.choices["plan"]._actions
+                      if a.dest == "method")
+        assert tuple(method.choices) == BLOCKING_METHODS
 
     def test_serve_roundtrip_via_cli(self, tmp_path, capsys):
         from repro.cli import main
